@@ -4,7 +4,8 @@ Subcommands: classify | blowup | resolve | holonomy | timeform.  Every
 command emits one deterministic JSON document (compact by default,
 ``--pretty`` for indented output, ``--out FILE`` to write to a file).
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
+Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
+negative --trunc or --max-steps and an unreadable separatrix file),
 4 precision exhausted.
 """
 
@@ -43,13 +44,6 @@ def _complex_json(z: complex):
 
 def _field_json(field: VectorField):
     return [format_mseries(c) for c in field.components]
-
-
-def _class_json(cls):
-    return {
-        "tag": cls.tag,
-        "invariant_triple": [_scalar_json(c) for c in cls.char_poly_invariants],
-    }
 
 
 def _curve_json(curve: FormalCurve):
@@ -137,14 +131,20 @@ def _load_curve(args, field: VectorField) -> FormalCurve:
     try:
         with open(args.separatrix_file) as fh:
             data = json.load(fh)
-        coeffs_a = [GaussianRational(Fraction(c)) for c in data["x_of_z"]]
-        coeffs_b = [GaussianRational(Fraction(c)) for c in data["y_of_z"]]
-    except (OSError, KeyError, ValueError) as exc:
+        coeffs_a = [_load_scalar(c) for c in data["x_of_z"]]
+        coeffs_b = [_load_scalar(c) for c in data["y_of_z"]]
+        ledger = max(len(coeffs_a), len(coeffs_b)) - 1
+        return FormalCurve.graph(USeries(coeffs_a, ledger), USeries(coeffs_b, ledger))
+    except (OSError, KeyError, TypeError, ValueError, ParseError) as exc:
         raise FolresError(f"cannot load the separatrix file: {exc}") from exc
-    ledger = max(len(coeffs_a), len(coeffs_b)) - 1
-    return FormalCurve.graph(
-        USeries(coeffs_a, ledger), USeries(coeffs_b, ledger)
-    )
+
+
+def _load_scalar(c) -> GaussianRational:
+    """A curve coefficient in the scalar grammar that reports print, e.g. "1/2-3*i"."""
+    text = str(c) if isinstance(c, int) else c
+    if not isinstance(text, str) or any(v in text for v in "xyz"):
+        raise ValueError(f"coefficient {c!r} is not a constant")
+    return parse_series(text, 0).constant_term()
 
 
 def cmd_resolve(args) -> dict:
@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("trunc", "max_steps"):
+            if getattr(args, flag, 0) < 0:
+                raise FolresError(f"--{flag.replace('_', '-')} must be non-negative")
         report = args.fn(args)
     except ParseError as exc:
         _emit({"error": "parse", "message": str(exc), "position": exc.position}, args)

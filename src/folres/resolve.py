@@ -46,7 +46,6 @@ from .vfield import (
     VectorField,
     classify,
     factor_divisor,
-    nilpotent_normal_form,
     nilpotent_normal_form_full,
 )
 
@@ -148,7 +147,7 @@ def degenerate_family_parameters(field: VectorField):
     shape for which an exact holonomy criterion settles the inconclusive
     n = 2, k = 0 case.
     """
-    parts = nilpotent_normal_form(field)
+    parts, _ = nilpotent_normal_form_full(field)
     if parts is None or parts.n != 2 or parts.k != 0:
         return None
     if not parts.unit.eq_trusted(MSeries.constant(1, parts.unit.trunc)):

@@ -111,9 +111,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- conversions ---------------------------------------------------------------
 
     def __complex__(self) -> complex:

@@ -33,7 +33,7 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve
+from .series import INFINITE, MSeries, USeries, compose_curve, convolve
 from .vfield import PolyMap, VectorField, conjugate
 
 
@@ -175,16 +175,7 @@ class _Composer:
 
     def _power(self, pows, base, e: int):
         while len(pows) <= e:
-            prev = pows[-1]
-            cur = [ZERO] * (self.cap + 1)
-            for i, c in enumerate(prev):
-                if not c:
-                    continue
-                for j in range(1, self.cap - i + 1):
-                    d = base[j]
-                    if d:
-                        cur[i + j] = cur[i + j] + c * d
-            pows.append(cur)
+            pows.append(convolve(pows[-1], base, self.cap))
         return pows[e]
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
@@ -263,6 +254,14 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     )
     a = [ZERO] * (cap + 2)
     b = [ZERO] * (cap + 2)
+
+    def residuals(comp):
+        """x'(z) (H o phi) - F o phi and y'(z) (H o phi) - G o phi, by degree."""
+        return (
+            lambda m: _deriv_conv(a, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F"),
+            lambda m: _deriv_conv(b, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G"),
+        )
+
     frontier_a = -1
     frontier_b = -1
     solved = 0
@@ -287,12 +286,7 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
             acc = acc + _deriv_conv(b, comp, sys_.Hy, m - d, "Hy")
             return acc - (comp.coeff(sys_.Gy, m - d, "Gy") if m >= d else ZERO)
 
-        def res_a(m):
-            return _deriv_conv(a, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F")
-
-        def res_b(m):
-            return _deriv_conv(b, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G")
-
+        res_a, res_b = residuals(comp)
         row_a = _schedule_row(res_a, col_a_ra, col_b_ra, frontier_a, cap, d)
         row_b = _schedule_row(res_b, col_a_rb, col_b_rb, frontier_b, cap, d)
         if row_a is None or row_b is None:
@@ -301,17 +295,10 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         a[d] = A
         b[d] = B
         # verify every residual coefficient between the old and new frontiers
-        check = _Composer(a, b, cap)
-
-        def res_a2(m):
-            return _deriv_conv(a, check, sys_.H, m, "H") - check.coeff(sys_.F, m, "F")
-
-        def res_b2(m):
-            return _deriv_conv(b, check, sys_.H, m, "H") - check.coeff(sys_.G, m, "G")
-
+        check_a, check_b = residuals(_Composer(a, b, cap))
         for name, res, lo, hi in (
-            ("first", res_a2, frontier_a, row_a[0]),
-            ("second", res_b2, frontier_b, row_b[0]),
+            ("first", check_a, frontier_a, row_a[0]),
+            ("second", check_b, frontier_b, row_b[0]),
         ):
             for m in range(lo + 1, hi + 1):
                 val = res(m)
@@ -397,47 +384,6 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
     for c in comps:
         if c.coeffs[0]:
             raise CurveMissesCenter("curve does not pass through the origin")
-    if chart.kind in (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z):
-        di = var_index(chart.divisor_var)
-        div = comps[di]
-        dval = div.valuation()
-        if dval == INFINITE:
-            raise DivisionObstructed("divisor component vanishes at this precision")
-        out = []
-        for i, c in enumerate(comps):
-            if i == di:
-                out.append(c)
-                continue
-            if c.valuation() < dval:
-                raise DivisionObstructed(
-                    "curve tangent direction lies outside this chart"
-                )
-            out.append(c.divide(div))
-        t = min(c.trunc for c in out)
-        out = [c.retrunc(t) for c in out]
-        graph = _is_param_identity(out[2]) and not out[0].coeffs[0] and not out[1].coeffs[0]
-        return FormalCurve(
-            out[0], out[1], out[2],
-            graph_over_z=graph, parameter_power=phi.parameter_power,
-        )
-    if chart.kind in (CURVE_CHART_FIRST, CURVE_CHART_SECOND):
-        ai = var_index(chart.center_axis)
-        di = var_index(chart.divisor_var)
-        si = next(i for i in range(3) if i not in (ai, di))
-        div = comps[di]
-        if div.valuation() == INFINITE:
-            raise DivisionObstructed("divisor component vanishes at this precision")
-        if comps[si].valuation() < div.valuation():
-            raise DivisionObstructed("curve tangent direction lies outside this chart")
-        out = list(comps)
-        out[si] = comps[si].divide(div)
-        t = min(c.trunc for c in out)
-        out = [c.retrunc(t) for c in out]
-        graph = _is_param_identity(out[2]) and not out[0].coeffs[0] and not out[1].coeffs[0]
-        return FormalCurve(
-            out[0], out[1], out[2],
-            graph_over_z=graph, parameter_power=phi.parameter_power,
-        )
     if chart.kind == WEIGHT2:
         if not phi.graph_over_z:
             raise NotGraph("weight-2 lift implemented for graph curves")
@@ -454,7 +400,33 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
             USeries(a2, new_t), USeries(b2, new_t), USeries.identity(new_t),
             graph_over_z=True, parameter_power=phi.parameter_power * 2,
         )
-    raise ValueError(f"unknown chart kind {chart.kind}")
+    if chart.kind in (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z):
+        # every component but the divisor one is divided by it
+        di = var_index(chart.divisor_var)
+        divided = [i for i in range(3) if i != di]
+    elif chart.kind in (CURVE_CHART_FIRST, CURVE_CHART_SECOND):
+        # only the component neither on the center axis nor the divisor
+        di = var_index(chart.divisor_var)
+        ai = var_index(chart.center_axis)
+        divided = [next(i for i in range(3) if i not in (ai, di))]
+    else:
+        raise ValueError(f"unknown chart kind {chart.kind}")
+    div = comps[di]
+    dval = div.valuation()
+    if dval == INFINITE:
+        raise DivisionObstructed("divisor component vanishes at this precision")
+    out = list(comps)
+    for i in divided:
+        if comps[i].valuation() < dval:
+            raise DivisionObstructed("curve tangent direction lies outside this chart")
+        out[i] = comps[i].divide(div)
+    t = min(c.trunc for c in out)
+    out = [c.retrunc(t) for c in out]
+    graph = _is_param_identity(out[2]) and not out[0].coeffs[0] and not out[1].coeffs[0]
+    return FormalCurve(
+        out[0], out[1], out[2],
+        graph_over_z=graph, parameter_power=phi.parameter_power,
+    )
 
 
 def straighten(field: VectorField, phi: FormalCurve, m: int):

@@ -54,6 +54,21 @@ def _coerce_scalar(c) -> GaussianRational:
     return c if isinstance(c, GaussianRational) else GaussianRational.coerce(c)
 
 
+def convolve(a, b, t: int) -> list:
+    """Coefficients 0..t of the product of two coefficient sequences.
+
+    The one dense product loop of the package: zero coefficients are skipped,
+    and entries of either input above degree t are never read.
+    """
+    out = [ZERO] * (t + 1)
+    for i, ca in enumerate(a[: t + 1]):
+        if ca:
+            for j, cb in enumerate(b[: t + 1 - i]):
+                if cb:
+                    out[i + j] = out[i + j] + ca * cb
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Univariate series
 # ---------------------------------------------------------------------------
@@ -123,15 +138,7 @@ class USeries:
 
     def __mul__(self, other: "USeries") -> "USeries":
         t = min(self.trunc, other.trunc)
-        out = [ZERO] * (t + 1)
-        for i, a in enumerate(self.coeffs):
-            if i > t or not a:
-                continue
-            for j in range(t - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return USeries(out, t)
+        return USeries(convolve(self.coeffs, other.coeffs, t), t)
 
     def derivative(self) -> "USeries":
         if self.trunc == 0:
@@ -174,28 +181,6 @@ class USeries:
         den = other.shift_down(v) if v else other
         t = min(num.trunc, den.trunc)
         return (num.retrunc(t)) * (den.retrunc(t).invert_unit())
-
-    def compose(self, inner: "USeries") -> "USeries":
-        """self(inner) for inner with zero constant term."""
-        if inner.coeffs[0]:
-            raise NonzeroConstantTerm("inner series has a constant term")
-        t = min(self.trunc, inner.trunc)
-        out = USeries.zero(t)
-        power = USeries.monomial(ONE, 0, t)
-        for k, c in enumerate(self.coeffs):
-            if k > t:
-                break
-            if c:
-                out = out + power.scale(c)
-            if k < t:
-                power = power * inner
-        return out
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
 
     def eq_trusted(self, other: "USeries") -> bool:
         t = min(self.trunc, other.trunc)
@@ -496,13 +481,6 @@ class MSeries:
             acc = acc + term
         return acc
 
-    def eval_complex(self, point) -> complex:
-        px, py, pz = (complex(p) for p in point)
-        acc = 0j
-        for (i, j, k), c in self.terms.items():
-            acc += complex(c) * px**i * py**j * pz**k
-        return acc
-
     # -- comparison / printing ---------------------------------------------------------
 
     def eq_trusted(self, other: "MSeries") -> bool:
@@ -608,24 +586,13 @@ def compose_curve(s: MSeries, phi, cap: int | None = None) -> USeries:
         t = min(t, cap)
     bases = [list(p.coeffs[: t + 1]) + [ZERO] * (t + 1 - len(p.coeffs)) for p in phi]
 
-    def conv(a, b):
-        out = [ZERO] * (t + 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j in range(t - i + 1):
-                cb = b[j]
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return out
-
     one = [ONE] + [ZERO] * t
     pows = [{0: one}, {0: one}, {0: one}]
 
     def power(vi: int, e: int):
         cache = pows[vi]
         if e not in cache:
-            cache[e] = conv(power(vi, e - 1), bases[vi])
+            cache[e] = convolve(power(vi, e - 1), bases[vi], t)
         return cache[e]
 
     third_is_param = bases[2][1] == ONE and all(
@@ -638,7 +605,7 @@ def compose_curve(s: MSeries, phi, cap: int | None = None) -> USeries:
             continue
         xy = xy_cache.get((i, j))
         if xy is None:
-            xy = conv(power(0, i), power(1, j)) if i and j else power(0, i) if i else power(1, j)
+            xy = convolve(power(0, i), power(1, j), t) if i and j else power(0, i) if i else power(1, j)
             xy_cache[(i, j)] = xy
         if third_is_param:
             for n in range(t + 1 - k):
@@ -646,7 +613,7 @@ def compose_curve(s: MSeries, phi, cap: int | None = None) -> USeries:
                 if v:
                     out[n + k] = out[n + k] + c * v
         else:
-            full = conv(xy, power(2, k)) if k else xy
+            full = convolve(xy, power(2, k), t) if k else xy
             for n, v in enumerate(full):
                 if v:
                     out[n] = out[n] + c * v

@@ -87,12 +87,7 @@ class LinearPart:
         return acc
 
     def determinant(self) -> GaussianRational:
-        m = self.m
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        return _det3(self.m)
 
     def invariant_triple(self):
         return (self.trace(), self.second_invariant(), self.determinant())
@@ -108,14 +103,6 @@ ZERO_LINEAR_PART = "zero_linear_part"
 class SingularityClass:
     tag: str
     char_poly_invariants: tuple
-
-    @property
-    def is_elementary(self) -> bool:
-        return self.tag == ELEMENTARY
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.tag == NILPOTENT_NONZERO
 
 
 def classify(field: VectorField) -> SingularityClass:
@@ -231,6 +218,7 @@ class PolyMap:
 
 
 def _det3(m):
+    """Determinant of a 3x3 matrix over any ring (scalars or series)."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -239,6 +227,7 @@ def _det3(m):
 
 
 def _adjugate3(m):
+    """Adjugate of a 3x3 matrix over any ring: m * adj(m) = det(m) * I."""
     def cof(r, c):
         rows = [i for i in range(3) if i != r]
         cols = [j for j in range(3) if j != c]
@@ -246,7 +235,7 @@ def _adjugate3(m):
             m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
             - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
         )
-        return minor.scale(-1) if (r + c) % 2 else minor
+        return -minor if (r + c) % 2 else minor
     # adjugate = transpose of the cofactor matrix
     return tuple(tuple(cof(c, r) for c in range(3)) for r in range(3))
 
@@ -254,17 +243,14 @@ def _adjugate3(m):
 def conjugate(field: VectorField, cmap: PolyMap) -> VectorField:
     """Pull back the field: (DH)^{-1} (X o H) for the coordinate change H."""
     lin = cmap.linear_matrix()
-    det_lin = (
-        lin[0][0] * (lin[1][1] * lin[2][2] - lin[1][2] * lin[2][1])
-        - lin[0][1] * (lin[1][0] * lin[2][2] - lin[1][2] * lin[2][0])
-        + lin[0][2] * (lin[1][0] * lin[2][1] - lin[1][1] * lin[2][0])
-    )
+    det_lin = _det3(lin)
     if not det_lin:
         raise NonInvertibleLinearPart("linear part of the coordinate change is singular")
     composed = [c.substitute(cmap.comps) for c in field.components]
     if all(c.max_degree() <= 1 for c in cmap.comps):
         # linear change: constant Jacobian, no ledger cost
-        inv = _invert3_scalar(lin, det_lin)
+        inv_det = ONE / det_lin
+        inv = [[e * inv_det for e in row] for row in _adjugate3(lin)]
         t = min(c.trunc for c in composed)
         out = []
         for r in range(3):
@@ -290,19 +276,6 @@ def conjugate(field: VectorField, cmap: PolyMap) -> VectorField:
     return VectorField(*out)
 
 
-def _invert3_scalar(m, det):
-    inv_det = ONE / det
-    def cof(r, c):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != c]
-        minor = (
-            m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-            - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        )
-        return -minor if (r + c) % 2 else minor
-    return tuple(tuple(cof(c, r) * inv_det for c in range(3)) for r in range(3))
-
-
 @dataclass(frozen=True)
 class NormalFormParts:
     """Decomposition X = z^k * unit * [(y + z f) d/dx + z g d/dy + z^n d/dz]."""
@@ -314,32 +287,16 @@ class NormalFormParts:
     g: MSeries
     unit: MSeries
     representative: VectorField
-    reason: str | None = None
-
-
-def nilpotent_normal_form(field: VectorField) -> NormalFormParts | None:
-    """Match the persistent-nilpotent shape; None (with no side effects) otherwise.
-
-    Checks, in order: nonzero field, z^k divisor factoring, nilpotent nonzero
-    linear part, third component z^n * unit with n >= 2, first component
-    y + z f and second z g with f, g vanishing at 0, and dg/dx(0) != 0.
-    The reasons are reported through `nilpotent_normal_form_reason`.
-    """
-    parts, _ = _normal_form_impl(field)
-    return parts
-
-
-def nilpotent_normal_form_reason(field: VectorField) -> str | None:
-    _, reason = _normal_form_impl(field)
-    return reason
 
 
 def nilpotent_normal_form_full(field: VectorField):
-    """(parts, reason) in one pass; exactly one of the two is None."""
-    return _normal_form_impl(field)
+    """Match the persistent-nilpotent shape: (parts, None) or (None, reason).
 
-
-def _normal_form_impl(field: VectorField):
+    Checks, in order: nonzero field, z^k divisor factoring, nilpotent nonzero
+    linear part, third component z^n * unit with n >= 2, first component
+    y + z f and second z g with f, g vanishing at 0, and dg/dx(0) != 0.  The
+    reason names the first check that fails.
+    """
     if field.is_zero():
         return None, "field is zero at the trusted precision"
     k, rep = factor_divisor(field, "z")

@@ -193,6 +193,56 @@ def test_resolve_separatrix_file(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "persistent_normal_form_matched"
 
 
+def test_resolve_separatrix_file_round_trip(tmp_path, capsys):
+    # the separatrix x = (1/2+i) z^2, y = -2i z^2 is printed in the scalar
+    # grammar of reports, and a report's prefix must load back in
+    field = "[y + 2*i*z^2 + (1+2*i)*z^4, x*z - (1/2+i)*z^3 - 4*i*z^4, z^3]"
+    code, out = run_cli(["resolve", field, "--trunc", "12"], capsys)
+    assert code == 0
+    solved = json.loads(out)
+    prefix = solved["report"]["separatrix_prefix"]
+    assert prefix["x_of_z"][2] == "1/2+i"
+    assert prefix["y_of_z"][2] == "-2*i"
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(prefix))
+    code, out = run_cli(
+        ["resolve", field, "--trunc", "12", "--separatrix", "file", "--separatrix-file", str(path)],
+        capsys,
+    )
+    assert code == 0
+    loaded = json.loads(out)
+    assert loaded["separatrix"] == "file"
+    assert loaded["report"] == solved["report"]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [["0", "1/0"], ["0", "x"], ["0", "1.5"], ["0", None], []],
+    ids=["zero-division", "variable", "decimal", "null", "empty"],
+)
+def test_malformed_separatrix_file_exit_code(tmp_path, capsys, coeffs):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"x_of_z": coeffs, "y_of_z": coeffs}))
+    code, out = run_cli(
+        ["resolve", "[y, x*z, z^3]", "--separatrix", "file", "--separatrix-file", str(path)],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["message"].startswith("cannot load the separatrix file")
+
+
+def test_negative_trunc_exit_code(capsys):
+    code, out = run_cli(["classify", "[x, y, z]", "--trunc", "-1"], capsys)
+    assert code == 3
+    assert "--trunc" in json.loads(out)["message"]
+
+
+def test_negative_max_steps_exit_code(capsys):
+    code, out = run_cli(["resolve", "[y - z, x*z, z^3]", "--max-steps", "-1"], capsys)
+    assert code == 3
+    assert "--max-steps" in json.loads(out)["message"]
+
+
 def test_curve_chart_must_be_transverse(capsys):
     code, out = run_cli(
         ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--chart", "x"], capsys

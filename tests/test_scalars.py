@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from folres.parsing import parse_series
 from folres.scalars import GaussianRational, format_scalar
 
 from conftest import gr, rand_scalar
@@ -65,3 +67,10 @@ def test_exactness_no_float_contamination():
         acc = acc + third
     assert acc == gr(1)
     assert isinstance(acc.re, Fraction)
+
+
+@given(st.fractions(), st.fractions())
+def test_format_then_parse_is_identity(re, im):
+    # separatrix files store coefficients as printed; they load back exactly
+    c = GaussianRational(re, im)
+    assert parse_series(format_scalar(c), 0).constant_term() == c

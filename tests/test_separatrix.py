@@ -15,7 +15,7 @@ from folres.separatrix import (
     straighten,
     transform_curve,
 )
-from folres.vfield import PolyMap, VectorField, conjugate, nilpotent_normal_form
+from folres.vfield import PolyMap, VectorField, conjugate, nilpotent_normal_form_full
 
 from conftest import (
     field_degenerate_family,
@@ -217,7 +217,7 @@ class TestStraighten:
         X = field_xlambda(1)
         curve = solve_graph_separatrix(X, 20)
         moved, _ = straighten(X, curve, 8)
-        parts = nilpotent_normal_form(moved)
+        parts, _ = nilpotent_normal_form_full(moved)
         assert parts is not None
         assert parts.lam == gr(1)
         assert parts.n == 3

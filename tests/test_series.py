@@ -186,9 +186,10 @@ class TestUSeries:
         assert [str(c) for c in q.coeffs[:3]] == ["1", "1", "0"]
 
     def test_compose(self):
-        f = useries([0, 0, 1], 10)  # T^2
+        f = MSeries({(2, 0, 0): 1}, 10)  # x^2, read along the curve as T^2
         g = useries([0, 2], 10)  # 2T
-        assert f.compose(g).coeffs[2] == gr(4)
+        out = compose_curve(f, (g, USeries.zero(10), USeries.zero(10)))
+        assert out.coeffs == tuple(gr(4 if k == 2 else 0) for k in range(11))
 
     def test_derivative_ledger(self):
         a = useries([0, 1, 1], 10)

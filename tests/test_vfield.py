@@ -15,7 +15,7 @@ from folres.vfield import (
     classify,
     conjugate,
     factor_divisor,
-    nilpotent_normal_form,
+    nilpotent_normal_form_full,
     order_at_origin,
     order_wrt_curve,
 )
@@ -197,12 +197,14 @@ class TestConjugate:
 
 class TestNormalFormDecomposition:
     def test_x0(self):
-        parts = nilpotent_normal_form(vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 3): 1}))
-        assert parts is not None
+        parts, reason = nilpotent_normal_form_full(
+            vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 3): 1})
+        )
+        assert parts is not None and reason is None
         assert (parts.k, parts.n, parts.lam) == (0, 3, gr(1))
 
     def test_with_divisor(self):
-        parts = nilpotent_normal_form(
+        parts, _ = nilpotent_normal_form_full(
             vf({(0, 1, 1): 1}, {(1, 0, 2): 1}, {(0, 0, 3): 1})
         )
         assert parts is not None
@@ -215,7 +217,7 @@ class TestNormalFormDecomposition:
             {(1, 0, 1): 1, (2, 0, 1): 1},
             {(0, 0, 2): 1, (1, 0, 2): 1},
         )
-        parts = nilpotent_normal_form(f)
+        parts, _ = nilpotent_normal_form_full(f)
         assert parts is not None
         assert parts.n == 2
         assert parts.representative.fz.eq_trusted(
@@ -223,4 +225,8 @@ class TestNormalFormDecomposition:
         )
 
     def test_rejects_lambda_zero(self):
-        assert nilpotent_normal_form(vf({(0, 1, 0): 1}, {(0, 1, 1): 1}, {(0, 0, 2): 1})) is None
+        parts, reason = nilpotent_normal_form_full(
+            vf({(0, 1, 0): 1}, {(0, 1, 1): 1}, {(0, 0, 2): 1})
+        )
+        assert parts is None
+        assert reason == "dg/dx vanishes at the origin (lambda = 0)"
