@@ -5,8 +5,8 @@ command emits one deterministic JSON document (compact by default,
 ``--pretty`` for indented output, ``--out FILE`` to write to a file).
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
-negative --trunc or --max-steps and an unreadable separatrix file),
-4 precision exhausted.
+negative --trunc or --max-steps, an --alpha, --beta or --turns that is not a
+rational number, and an unreadable separatrix file), 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -207,9 +207,17 @@ def cmd_resolve(args) -> dict:
     return out
 
 
+def _rational_arg(text: str, flag: str) -> Fraction:
+    """The value of a rational-number flag such as --alpha "-1/2"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FolresError(f"{flag} must be a rational number, got {text!r}") from exc
+
+
 def cmd_holonomy(args) -> dict:
-    alpha = Fraction(args.alpha)
-    beta = Fraction(args.beta)
+    alpha = _rational_arg(args.alpha, "--alpha")
+    beta = _rational_arg(args.beta, "--beta")
     hol = rs.holonomy_sancho_sanz(alpha, beta)
     return {
         "command": "holonomy",
@@ -232,7 +240,7 @@ def cmd_timeform(args) -> dict:
         rho = args.exponent
         rho_text = f"x^{args.exponent}"
     x0 = complex(args.x0_re, args.x0_im)
-    turns = Fraction(args.turns)
+    turns = _rational_arg(args.turns, "--turns")
     value = rs.timeform_arc_integral(rho, x0, turns)
     return {
         "command": "timeform",

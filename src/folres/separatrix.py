@@ -17,6 +17,14 @@ field-dependent shift; the solver locates, for each degree, the lowest
 residual coefficients the pair controls, solves that 2x2 system exactly, and
 verifies every skipped residual coefficient, reporting the first
 inconsistency as an obstruction.
+
+A solve keeps one composer for all its degrees.  Coefficient m of
+S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
+computes power entries and composed coefficients on demand and memoizes
+them; once (x_d, y_d) is set it is reopened at d, which drops only the
+entries of index >= d, and the verification reads the same composer.  This
+is the online order of relaxed multiplication (van der Hoeven, "Relax, but
+don't be too lazy", J. Symb. Comp. 2002).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve, convolve
+from .series import INFINITE, MSeries, USeries, compose_curve
 from .vfield import PolyMap, VectorField, conjugate
 
 
@@ -162,20 +170,51 @@ def multiplicity(field: VectorField, phi: FormalCurve) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _product_coeff(u, v, t: int) -> GaussianRational:
+    """Coefficient t of the product of two series, one coefficient at a time.
+
+    u is a coefficient list with entries 0..t; v maps an index to a
+    coefficient and is called only behind the nonzero entries of u, so it may
+    compute its entries on demand.
+    """
+    acc = ZERO
+    for s in range(t + 1):
+        c = u[s]
+        if c:
+            w = v(t - s)
+            if w:
+                acc = acc + c * w
+    return acc
+
+
 class _Composer:
-    """On-demand coefficients of S o (a(z), b(z), z) for a fixed prefix."""
+    """Coefficients of S o (a(z), b(z), z), kept across the degrees of a solve.
+
+    Coefficient m of the composition depends only on a[0..m] and b[0..m],
+    and entry s of a power of a (or b) only on a[0..s] (or b[0..s]).  Power
+    entries are computed one coefficient at a time, on demand, as memoized
+    prefixes, and the composed coefficients are memoized by (tag, m).  After the solver
+    writes a[d] and b[d] it calls ``reopen(d)``, which drops every entry of
+    index >= d; the entries below d are final.
+    """
 
     def __init__(self, a, b, cap: int):
-        self.cap = cap
-        self.a_pows = [[ONE] + [ZERO] * cap]
-        self.b_pows = [[ONE] + [ZERO] * cap]
-        self._a = a
-        self._b = b
+        unit = [ONE] + [ZERO] * cap
+        # a^0 and a^1 are the unit and the coefficient list itself
+        self.a_pows = [unit, a]
+        self.b_pows = [unit, b]
         self.memo = {}
 
-    def _power(self, pows, base, e: int):
+    @staticmethod
+    def _power(pows, e: int, s: int):
+        """The power base^e (base = pows[1]) with entries 0..s computed."""
         while len(pows) <= e:
-            pows.append(convolve(pows[-1], base, self.cap))
+            pows.append([])
+        base = pows[1].__getitem__
+        for f in range(2, e + 1):
+            prev, row = pows[f - 1], pows[f]
+            for t in range(len(row), s + 1):
+                row.append(_product_coeff(prev, base, t))
         return pows[e]
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
@@ -186,34 +225,28 @@ class _Composer:
         for (i, j, k), c in series.terms.items():
             if k > m:
                 continue
-            pa = self._power(self.a_pows, self._a, i)
-            pb = self._power(self.b_pows, self._b, j)
             r = m - k
-            conv = ZERO
-            for s in range(r + 1):
-                u = pa[s]
-                if u:
-                    w = pb[r - s]
-                    if w:
-                        conv = conv + u * w
+            pa = self._power(self.a_pows, i, r)
+            pb = self._power(self.b_pows, j, r)
+            conv = _product_coeff(pa, pb.__getitem__, r)
             if conv:
                 acc = acc + c * conv
         self.memo[key] = acc
         return acc
 
+    def reopen(self, d: int) -> None:
+        """Forget every entry of index >= d, after a[d] and b[d] were set."""
+        for pows in (self.a_pows, self.b_pows):
+            for row in pows[2:]:
+                del row[d:]
+        self.memo = {key: v for key, v in self.memo.items() if key[1] < d}
 
-def _deriv_conv(coeffs, comp: _Composer, series, q: int, tag) -> GaussianRational:
-    """Coefficient q of a' * (series o phi) for a with the given coefficients."""
-    acc = ZERO
-    for r in range(1, len(coeffs)):
-        c = coeffs[r]
-        if not c:
-            continue
-        m = q - (r - 1)
-        if m < 0:
-            continue
-        acc = acc + c * r * comp.coeff(series, m, tag)
-    return acc
+
+def _deriv_conv(deriv, comp: _Composer, series, q: int, tag) -> GaussianRational:
+    """Coefficient q of a' * (series o phi), deriv holding the coefficients of a'."""
+    if not series.terms:
+        return ZERO
+    return _product_coeff(deriv, lambda m: comp.coeff(series, m, tag), q)
 
 
 @dataclass
@@ -254,51 +287,53 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     )
     a = [ZERO] * (cap + 2)
     b = [ZERO] * (cap + 2)
+    da = [ZERO] * (cap + 1)  # coefficients of x'(z): da[r - 1] = r * a[r]
+    db = [ZERO] * (cap + 1)
+    comp = _Composer(a, b, cap)
 
-    def residuals(comp):
-        """x'(z) (H o phi) - F o phi and y'(z) (H o phi) - G o phi, by degree."""
-        return (
-            lambda m: _deriv_conv(a, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F"),
-            lambda m: _deriv_conv(b, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G"),
-        )
+    def res_a(m):
+        """Degree m of x'(z) (H o phi) - F o phi."""
+        return _deriv_conv(da, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F")
+
+    def res_b(m):
+        """Degree m of y'(z) (H o phi) - G o phi."""
+        return _deriv_conv(db, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G")
 
     frontier_a = -1
     frontier_b = -1
     solved = 0
     for d in range(1, degree + 1):
-        comp = _Composer(a, b, cap)
 
         def col_a_ra(m):
             acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(a, comp, sys_.Hx, m - d, "Hx")
+            acc = acc + _deriv_conv(da, comp, sys_.Hx, m - d, "Hx")
             return acc - (comp.coeff(sys_.Fx, m - d, "Fx") if m >= d else ZERO)
 
         def col_b_ra(m):
-            acc = _deriv_conv(a, comp, sys_.Hy, m - d, "Hy")
+            acc = _deriv_conv(da, comp, sys_.Hy, m - d, "Hy")
             return acc - (comp.coeff(sys_.Fy, m - d, "Fy") if m >= d else ZERO)
 
         def col_a_rb(m):
-            acc = _deriv_conv(b, comp, sys_.Hx, m - d, "Hx")
+            acc = _deriv_conv(db, comp, sys_.Hx, m - d, "Hx")
             return acc - (comp.coeff(sys_.Gx, m - d, "Gx") if m >= d else ZERO)
 
         def col_b_rb(m):
             acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(b, comp, sys_.Hy, m - d, "Hy")
+            acc = acc + _deriv_conv(db, comp, sys_.Hy, m - d, "Hy")
             return acc - (comp.coeff(sys_.Gy, m - d, "Gy") if m >= d else ZERO)
 
-        res_a, res_b = residuals(comp)
         row_a = _schedule_row(res_a, col_a_ra, col_b_ra, frontier_a, cap, d)
         row_b = _schedule_row(res_b, col_a_rb, col_b_rb, frontier_b, cap, d)
         if row_a is None or row_b is None:
             break  # ledger exhausted before both unknowns are pinned
         A, B = _solve_two_by_two(row_a, row_b, d)
-        a[d] = A
-        b[d] = B
+        a[d], b[d] = A, B
+        da[d - 1], db[d - 1] = A * d, B * d
+        comp.reopen(d)
         # verify every residual coefficient between the old and new frontiers
-        check_a, check_b = residuals(_Composer(a, b, cap))
         for name, res, lo, hi in (
-            ("first", check_a, frontier_a, row_a[0]),
-            ("second", check_b, frontier_b, row_b[0]),
+            ("first", res_a, frontier_a, row_a[0]),
+            ("second", res_b, frontier_b, row_b[0]),
         ):
             for m in range(lo + 1, hi + 1):
                 val = res(m)

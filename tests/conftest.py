@@ -46,6 +46,25 @@ def rand_mseries(rng: random.Random, trunc, val=0, maxdeg=4, terms=5) -> MSeries
     return MSeries(d, trunc)
 
 
+def rand_normal_form(rng: random.Random, trunc):
+    """(y + z f) d/dx + z g d/dy + z^n d/dz with g = lam x + O(2); returns (X, n, lam)."""
+    n = rng.choice([2, 3, 4])
+    f = rand_mseries(rng, trunc, val=1, maxdeg=3, terms=3)
+    lam = rand_scalar(rng, 3, 1)
+    if not lam:
+        lam = gr(1)
+    g = MSeries.variable("x", trunc).scale(lam) + rand_mseries(
+        rng, trunc, val=2, maxdeg=3, terms=3
+    )
+    z = MSeries.variable("z", trunc)
+    X = VectorField(
+        MSeries.variable("y", trunc) + z * f,
+        z * g,
+        MSeries.monomial(1, (0, 0, n), trunc),
+    )
+    return X, n, lam
+
+
 def rand_zero_const_triple(rng: random.Random, trunc, maxdeg=2):
     return tuple(rand_mseries(rng, trunc, val=1, maxdeg=maxdeg, terms=4) for _ in range(3))
 

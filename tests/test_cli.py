@@ -243,6 +243,20 @@ def test_negative_max_steps_exit_code(capsys):
     assert "--max-steps" in json.loads(out)["message"]
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["holonomy", "--alpha", "abc", "--beta", "1"], "--alpha"),
+        (["holonomy", "--alpha", "1", "--beta", "1/0"], "--beta"),
+        (["timeform", "--turns", "x"], "--turns"),
+    ],
+)
+def test_bad_rational_flag_exit_code(args, flag, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 3
+    assert flag in json.loads(out)["message"]
+
+
 def test_curve_chart_must_be_transverse(capsys):
     code, out = run_cli(
         ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--chart", "x"], capsys

@@ -25,7 +25,7 @@ from folres.resolve import (
 from folres.separatrix import FormalCurve, solve_graph_separatrix, transform_curve
 from folres.series import USeries
 
-from conftest import field_degenerate_family, field_xlambda, gr, vf
+from conftest import field_degenerate_family, field_xlambda, gr, rand_normal_form, vf
 
 
 class TestDetect:
@@ -293,34 +293,12 @@ class TestManualRematchTangency:
 
 
 class TestRandomNormalFormSoak:
-    def _random_normal_form(self, rng, trunc):
-        from folres.series import MSeries
-        from folres.vfield import VectorField
-
-        from conftest import rand_mseries, rand_scalar
-
-        n = rng.choice([2, 3, 4])
-        f = rand_mseries(rng, trunc, val=1, maxdeg=3, terms=3)
-        lam = rand_scalar(rng, 3, 1)
-        if not lam:
-            lam = gr(1)
-        g = MSeries.variable("x", trunc).scale(lam) + rand_mseries(
-            rng, trunc, val=2, maxdeg=3, terms=3
-        )
-        z = MSeries.variable("z", trunc)
-        X = VectorField(
-            MSeries.variable("y", trunc) + z * f,
-            z * g,
-            MSeries.monomial(1, (0, 0, n), trunc),
-        )
-        return X, n, lam
-
     def test_solver_and_multiplicity_on_random_normal_forms(self):
         from folres.separatrix import invariance_residual, multiplicity
 
         rng = random.Random(314)
         for _ in range(30):
-            X, n, lam = self._random_normal_form(rng, 16)
+            X, n, lam = rand_normal_form(rng, 16)
             curve = solve_graph_separatrix(X, 12)
             assert invariance_residual(X, curve).full
             assert curve.tangency_bound() >= 2
@@ -329,7 +307,7 @@ class TestRandomNormalFormSoak:
     def test_driver_keeps_n_lambda_and_mult_on_random_normal_forms(self):
         rng = random.Random(315)
         for _ in range(10):
-            X, n, lam = self._random_normal_form(rng, 16)
+            X, n, lam = rand_normal_form(rng, 16)
             report = detect_persistent_normal_form(X, 12)
             assert (report.n, report.lam, report.k) == (n, lam, 0)
             trace = resolve_along(X, report.separatrix_prefix, 3)
@@ -352,7 +330,7 @@ class TestRandomNormalFormSoak:
         rng = random.Random(315)
         cases = []
         for _ in range(10):
-            X, _, _ = self._random_normal_form(rng, 16)
+            X, _, _ = rand_normal_form(rng, 16)
             curve = detect_persistent_normal_form(X).separatrix_prefix
             trace = resolve_along(X, curve, 3)
             cases += [(X, curve), (trace.final_field, trace.final_curve)]

@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folres.blowup import point_blowup, point_chart, weight2_chart
-from folres.errors import NotASeparatrix, NotGraphParameterizable, ZeroAlongCurve
+from folres.errors import (
+    NotASeparatrix,
+    NotGraphParameterizable,
+    Obstructed,
+    ZeroAlongCurve,
+)
+from folres.parsing import parse_field
 from folres.scalars import ZERO
 from folres.series import MSeries, USeries
 from folres.separatrix import (
@@ -23,6 +30,7 @@ from conftest import (
     field_z_example,
     gr,
     rand_mseries,
+    rand_normal_form,
     rand_scalar,
     useries,
     vf,
@@ -101,6 +109,29 @@ class TestSolveGraphSeparatrix:
         for k in range(19):
             assert curve.phi1.coeffs[k] == gr(a_expect[k]), f"a_{k}"
             assert curve.phi2.coeffs[k] == gr(b_expect[k]), f"b_{k}"
+
+    def test_xlambda_to_degree_160(self):
+        # the recurrence holds exactly through a deep solve
+        a_expect, b_expect = xlambda_series(Fraction(1), 160)
+        curve = solve_graph_separatrix(field_xlambda(1, 161), 160)
+        assert curve.ledger == 160
+        assert list(curve.phi1.coeffs) == [gr(c) for c in a_expect]
+        assert list(curve.phi2.coeffs) == [gr(c) for c in b_expect]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11), st.integers(1, 11))
+    def test_lower_degree_solve_is_a_prefix(self, seed, d1, step):
+        # the composer reopens one degree at a time: a stale entry would
+        # change the deeper solve or break its invariance
+        X, _, _ = rand_normal_form(random.Random(seed), 16)
+        d2 = min(d1 + step, 12)
+        short = solve_graph_separatrix(X, d1)
+        long = solve_graph_separatrix(X, d2)
+        for curve in (short, long):
+            assert invariance_residual(X, curve).full
+        n = short.ledger
+        assert short.phi1.coeffs == long.phi1.coeffs[: n + 1]
+        assert short.phi2.coeffs == long.phi2.coeffs[: n + 1]
 
     def test_xlambda_scaling_in_lambda(self):
         lam = Fraction(-3, 2)
@@ -295,13 +326,29 @@ class TestInvarianceUnderBlowupAndConjugation:
 
 class TestObstructionAndTransformErrors:
     def test_obstructed_solve_with_witness(self):
-        from folres.errors import Obstructed
-
         # b' z^2 = z^2 forces b = z, but a' z^2 = b has no series solution
         X = vf({(0, 1, 0): 1}, {(0, 0, 2): 1}, {(0, 0, 2): 1}, 12)
         with pytest.raises(Obstructed) as info:
             solve_graph_separatrix(X, 6)
         assert info.value.degree == 1
+
+    @pytest.mark.parametrize(
+        "text, degree, message",
+        [
+            ("[y*z, z^3, z^2 + x]", 2, "first residual has coefficient 1/8 at degree 3"),
+            ("[x + y, z^3, z^2 + x]", 2, "second residual has coefficient -1/2 at degree 3"),
+            # read through x(z)^2: an entry of the square kept past a reopen
+            # would hide this one
+            ("[y*z + x^2, z^2, z^2]", 1, "first residual has coefficient -1 at degree 2"),
+        ],
+    )
+    def test_obstruction_found_by_the_verification(self, text, degree, message):
+        # the skipped residual coefficients are checked after the degree is
+        # set and the composer reopened there
+        with pytest.raises(Obstructed) as info:
+            solve_graph_separatrix(parse_field(text, 16), 12)
+        assert info.value.degree == degree
+        assert message in str(info.value)
 
     def test_curve_misses_center(self):
         from folres.errors import CurveMissesCenter
