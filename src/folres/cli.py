@@ -218,6 +218,11 @@ def _rational_arg(text: str, flag: str) -> Fraction:
 def cmd_holonomy(args) -> dict:
     alpha = _rational_arg(args.alpha, "--alpha")
     beta = _rational_arg(args.beta, "--beta")
+    for value, text, flag in ((alpha, args.alpha, "--alpha"), (beta, args.beta, "--beta")):
+        try:
+            float(value)  # the holonomy matrix is computed in floating point
+        except OverflowError as exc:
+            raise FolresError(f"{flag} is beyond the floating-point range, got {text!r}") from exc
     hol = rs.holonomy_sancho_sanz(alpha, beta)
     return {
         "command": "holonomy",

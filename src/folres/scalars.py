@@ -1,17 +1,20 @@
 """Exact Gaussian-rational arithmetic.
 
-Coefficients throughout the package live in Q(i): pairs of
-`fractions.Fraction` for the real and imaginary parts.  All arithmetic is
-exact and equality is decidable, which is what the singularity
-classification and the degree-by-degree solvers rely on.
+Coefficients throughout the package live in Q(i).  A value is stored as
+three Python ints ``(a, b, d)`` standing for ``(a + b*i) / d``, kept
+canonical: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).
+Each operation is plain integer arithmetic followed by at most one
+``math.gcd``, and equal values have equal triples, so equality and hashing
+compare the triple.  ``re`` and ``im`` give the parts as reduced
+``fractions.Fraction``s for the code that prints or converts them.  All
+arithmetic is exact and equality is decidable, which is what the
+singularity classification and the degree-by-degree solvers rely on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-_ZERO_FRACTION = Fraction(0)
+from math import gcd
 
 
 def _frac(x) -> Fraction:
@@ -24,14 +27,48 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-class GaussianRational:
-    """A number re + im*i with exact rational re, im."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    # internal: (a, b, d) is already canonical
+    obj = _new(GaussianRational)
+    obj._a = a
+    obj._b = b
+    obj._d = d
+    return obj
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    # internal: d > 0; divides out gcd(a, b, d)
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    obj = _new(GaussianRational)
+    obj._a = a
+    obj._b = b
+    obj._d = d
+    return obj
+
+
+class GaussianRational:
+    """A number re + im*i with exact rational re, im, held as (a + b*i) / d."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        re = _frac(re)
+        im = _frac(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # p/q + (r/s) i = (p s + r q i) / (q s)
+        a, b, d = p * s, r * q, q * s
+        g = gcd(a, b, d)
+        self._a = a // g
+        self._b = b // g
+        self._d = d // g
 
     # -- construction helpers -------------------------------------------------
 
@@ -39,74 +76,85 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_frac(x))
+        if type(x) is int:
+            return _make(x, 0, 1)
+        return GaussianRational(x)
 
-    @classmethod
-    def _fast(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # internal: arguments are already Fractions
-        obj = object.__new__(cls)
-        obj.re = re
-        obj.im = im
-        return obj
+    # -- parts -----------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational._fast(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            if d == 1:
+                return _make(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational._fast(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational._fast(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            if d == 1:
+                return _make(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        if not self.im and not other.im:  # real fast path
-            return GaussianRational._fast(self.re * other.re, _ZERO_FRACTION)
-        return GaussianRational._fast(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not b and not e:  # real fast path
+            return _reduced(a * c, 0, d * f)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        if not other.im:
-            if not other.re:
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero in Q(i)")
-            return GaussianRational._fast(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return GaussianRational._fast(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _reduced(a * f, b * f, d * c)
+        # multiply by the conjugate: (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -114,7 +162,7 @@ class GaussianRational:
     # -- conversions ---------------------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -134,15 +182,16 @@ def _frac_str(q: Fraction) -> str:
 
 def format_scalar(s: GaussianRational) -> str:
     """Canonical printing ``a/b+c/d*i``; parse-print-parse is idempotent."""
-    if s.im == 0:
-        return _frac_str(s.re)
-    if s.im == 1:
+    re, im = s.re, s.im
+    if im == 0:
+        return _frac_str(re)
+    if im == 1:
         imag = "i"
-    elif s.im == -1:
+    elif im == -1:
         imag = "-i"
     else:
-        imag = f"{_frac_str(s.im)}*i"
-    if s.re == 0:
+        imag = f"{_frac_str(im)}*i"
+    if re == 0:
         return imag
-    sign = "+" if s.im > 0 else "-"
-    return f"{_frac_str(s.re)}{sign}{imag.lstrip('-')}"
+    sign = "+" if im > 0 else "-"
+    return f"{_frac_str(re)}{sign}{imag.lstrip('-')}"

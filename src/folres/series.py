@@ -23,7 +23,6 @@ must read that as "at least trunc + 1".
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     InsufficientSupport,
@@ -548,13 +547,13 @@ def format_mseries(s: MSeries) -> str:
 
 
 def _binomial_table(n: int):
-    table = [[Fraction(1)]]
+    table = [[1]]
     for r in range(1, n + 1):
-        row = [Fraction(1)]
+        row = [1]
         prev = table[-1]
         for c in range(1, r):
             row.append(prev[c - 1] + prev[c])
-        row.append(Fraction(1))
+        row.append(1)
         table.append(row)
     return table
 

@@ -249,6 +249,8 @@ def test_negative_max_steps_exit_code(capsys):
         (["holonomy", "--alpha", "abc", "--beta", "1"], "--alpha"),
         (["holonomy", "--alpha", "1", "--beta", "1/0"], "--beta"),
         (["timeform", "--turns", "x"], "--turns"),
+        (["holonomy", "--alpha", "1e400", "--beta", "1"], "--alpha"),
+        (["holonomy", "--alpha", "1", "--beta=-1e400"], "--beta"),
     ],
 )
 def test_bad_rational_flag_exit_code(args, flag, capsys):
