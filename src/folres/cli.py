@@ -5,8 +5,9 @@ command emits one deterministic JSON document (compact by default,
 ``--pretty`` for indented output, ``--out FILE`` to write to a file).
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
-negative --trunc or --max-steps, an --alpha, --beta or --turns that is not a
-rational number, and an unreadable separatrix file), 4 precision exhausted.
+negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
+--alpha, --beta or --turns that is not a rational number, and an unreadable
+separatrix file), 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from .vfield import (
 )
 
 DEFAULT_TRUNC = 24
-
-
-def _scalar_json(c: GaussianRational) -> str:
-    return str(c)
+MAX_TRUNC = 1024
 
 
 def _complex_json(z: complex):
@@ -48,8 +46,8 @@ def _field_json(field: VectorField):
 
 def _curve_json(curve: FormalCurve):
     return {
-        "x_of_z": [_scalar_json(c) for c in curve.phi1.coeffs],
-        "y_of_z": [_scalar_json(c) for c in curve.phi2.coeffs],
+        "x_of_z": [str(c) for c in curve.phi1.coeffs],
+        "y_of_z": [str(c) for c in curve.phi2.coeffs],
         "ledger": curve.ledger,
         "tangency": curve.tangency_bound(),
     }
@@ -58,7 +56,7 @@ def _curve_json(curve: FormalCurve):
 def _report_json(report: rs.PersistentReport):
     return {
         "n": report.n,
-        "lambda": _scalar_json(report.lam),
+        "lambda": str(report.lam),
         "k": report.k,
         "tangency": report.tangency,
         "separatrix_prefix": _curve_json(report.separatrix_prefix),
@@ -80,8 +78,8 @@ def cmd_classify(args) -> dict:
         "trunc": field.trunc,
         "class": cls.tag,
         "order": order,
-        "linear_part": [[_scalar_json(e) for e in row] for row in lin.m],
-        "invariant_triple": [_scalar_json(c) for c in lin.invariant_triple()],
+        "linear_part": [[str(e) for e in row] for row in lin.m],
+        "invariant_triple": [str(c) for c in lin.invariant_triple()],
     }
 
 
@@ -327,13 +325,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        for flag in ("trunc", "max_steps"):
-            if getattr(args, flag, 0) < 0:
-                raise FolresError(f"--{flag.replace('_', '-')} must be non-negative")
+        if not 0 <= getattr(args, "trunc", 0) <= MAX_TRUNC:
+            raise FolresError(f"--trunc must be between 0 and MAX_TRUNC = {MAX_TRUNC}")
+        if getattr(args, "max_steps", 0) < 0:
+            raise FolresError("--max-steps must be non-negative")
         report = args.fn(args)
     except ParseError as exc:
         _emit({"error": "parse", "message": str(exc), "position": exc.position}, args)

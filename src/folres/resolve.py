@@ -31,8 +31,9 @@ from .errors import (
 from .scalars import GaussianRational
 from .separatrix import (
     FormalCurve,
-    invariance_residual,
-    multiplicity,
+    _curve_image,
+    _multiplicity,
+    _residual,
     solve_graph_separatrix,
     straighten,
     transform_curve,
@@ -80,16 +81,19 @@ class PersistentReport:
 
 
 def detect_persistent_normal_form(
-    field: VectorField, degree: int = 24, curve: FormalCurve | None = None
+    field: VectorField, degree: int = 24, curve: FormalCurve | None = None, *, _image=None
 ) -> PersistentReport:
     """Match the persistent normal form and certify its separatrix.
 
-    A carried `curve` (the one the resolution driver transports) is cut to
-    the degree a solve would reach, min(degree, trunc - 1), and accepted when
-    its invariance residual vanishes through the full ledger of the
-    normal-form representative and its tangency with the z-axis is at least
-    2.  Solving the graph separatrix is the fallback, taken when no carried
-    curve passes those checks.
+    A carried graph `curve` (the one the resolution driver transports) is
+    cut to the degree a solve would reach, target = min(degree, trunc - 1),
+    and accepted when its tangency with the z-axis is at least 2 and its
+    invariance residual vanishes through degree target - 1.  The residual is
+    read from the image (X o curve, curve') of the factor-divisor
+    representative, which the driver passes as `_image`; the normal-form
+    representative differs from it by a unit, which changes neither the
+    residual's order nor its ledger.  The graph separatrix is solved only
+    when no carried curve passes those checks.
 
     Raises NoNormalFormMatch naming the first violated condition.  The
     verdict field is left unset; `semicomplete_obstruction` fills it.
@@ -99,7 +103,14 @@ def detect_persistent_normal_form(
         raise NoNormalFormMatch(reason or "not in normal form")
     rep = parts.representative
     target = min(degree, max(rep.trunc - 1, 1))
-    prefix = _certified_prefix(rep, curve, target)
+    prefix = None
+    if curve is not None and curve.graph_over_z and curve.ledger >= target:
+        images, derivs = _image or _curve_image(factor_divisor(field, "z")[1], curve)
+        cut = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
+        if cut.tangency_bound() >= 2 and _residual(
+            [im.retrunc(target) for im in images], [d.retrunc(target - 1) for d in derivs]
+        ).full:
+            prefix = cut
     if prefix is None:
         try:
             prefix = solve_graph_separatrix(rep, target)
@@ -111,19 +122,6 @@ def detect_persistent_normal_form(
     return PersistentReport(
         n=parts.n, lam=parts.lam, k=parts.k, separatrix_prefix=prefix, tangency=tan
     )
-
-
-def _certified_prefix(
-    rep: VectorField, curve: FormalCurve | None, degree: int
-) -> FormalCurve | None:
-    """The graph curve cut to `degree`, or None unless it is invariant under
-    `rep` through the full ledger and tangent to the z-axis."""
-    if curve is None or not curve.graph_over_z or curve.ledger < degree:
-        return None
-    cut = FormalCurve.graph(curve.phi1.retrunc(degree), curve.phi2.retrunc(degree))
-    if cut.tangency_bound() < 2 or not invariance_residual(rep, cut).full:
-        return None
-    return cut
 
 
 def semicomplete_obstruction(report: PersistentReport) -> str:
@@ -206,9 +204,11 @@ def resolve_along(
     shear (x, y, z) -> (x + a1 z, y + b1 z, z) of `straighten`, applied to
     the recentered field and curve: a z-chart blow-up lowers the curve's
     contact with the z-axis by one, and the shear restores normal-form
-    coordinates without changing n, lambda or k.  Each step hands the
-    carried curve to `detect_persistent_normal_form`, which certifies it
-    instead of solving the separatrix again.
+    coordinates without changing n, lambda or k.  Each step composes the
+    factor-divisor representative along the carried curve once, reads the
+    multiplicity from that image, and hands image and curve to
+    `detect_persistent_normal_form`, which certifies the curve instead of
+    solving the separatrix again.
     """
     steps = []
     current = field
@@ -217,17 +217,19 @@ def resolve_along(
 
     def record(chart_kind, divisor_exponent):
         cls = classify(current)
-        mult = None
+        mult = image = None
         if cls.tag != REGULAR:
             try:
-                _, rep = factor_divisor(current, "z")
-                mult = multiplicity(rep, curve)
+                image = _curve_image(factor_divisor(current, "z")[1], curve)
+                mult = _multiplicity(*image)
             except FolresError:
-                mult = None
+                pass
         report = None
         reason = None
         try:
-            report = detect_persistent_normal_form(current, detect_degree, curve)
+            report = detect_persistent_normal_form(
+                current, detect_degree, curve, _image=image
+            )
         except NoNormalFormMatch as exc:
             reason = str(exc)
         steps.append(
@@ -245,16 +247,12 @@ def resolve_along(
 
     cls, report = record(None, 0)
     matched = report is not None
-    outcome = None
-    for _ in range(max_steps):
-        if cls.tag == REGULAR:
-            outcome = REACHED_REGULAR
+    for remaining in range(max_steps, -1, -1):
+        if cls.tag in (REGULAR, ELEMENTARY):
+            outcome = REACHED_REGULAR if cls.tag == REGULAR else REACHED_ELEMENTARY
             break
-        if cls.tag == ELEMENTARY:
-            outcome = REACHED_ELEMENTARY
-            break
-        if report is not None and stop_on_match:
-            outcome = PERSISTENT_NORMAL_FORM_MATCHED
+        outcome = MAX_STEPS_EXHAUSTED if report is None else PERSISTENT_NORMAL_FORM_MATCHED
+        if not remaining or (report is not None and stop_on_match):
             break
         if current.trunc < 3 or curve.ledger < 2:
             raise PrecisionExhausted(
@@ -272,15 +270,6 @@ def resolve_along(
             current, curve = straighten(current, curve, 1)
         cls, report = record(chart.kind, result.divisor_exponent)
         matched = matched or report is not None
-    if outcome is None:
-        if cls.tag == REGULAR:
-            outcome = REACHED_REGULAR
-        elif cls.tag == ELEMENTARY:
-            outcome = REACHED_ELEMENTARY
-        elif report is not None:
-            outcome = PERSISTENT_NORMAL_FORM_MATCHED
-        else:
-            outcome = MAX_STEPS_EXHAUSTED
     final_report = report if outcome == PERSISTENT_NORMAL_FORM_MATCHED else None
     return ResolutionTrace(
         steps=tuple(steps),
@@ -308,14 +297,15 @@ def holonomy_sancho_sanz(alpha, beta) -> dict:
     README.  ``is_identity`` is decided exactly: both parameters integral
     and distinct.  The floating matrix is exp of [[-2 pi i a, 2 pi i], [0,
     -2 pi i b]], the averaged coefficient matrix: the diagonalizable branch
-    when a != b, the unipotent branch when a = b.
+    when float(a) != float(b), else the unipotent branch of a = b, whose
+    off-diagonal entry 2 pi i e^{-2 pi i a} is the limit of the other's.
     """
     a = Fraction(alpha)
     b = Fraction(beta)
     is_identity = _is_integer(a) and _is_integer(b) and a != b
     ea = cmath.exp(-2j * cmath.pi * float(a))
     eb = cmath.exp(-2j * cmath.pi * float(b))
-    if a == b:
+    if float(a) == float(b):
         matrix = ((ea, 2j * cmath.pi * ea), (0j, ea))
     else:
         matrix = ((ea, (eb - ea) / (float(a) - float(b))), (0j, eb))

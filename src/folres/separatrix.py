@@ -120,10 +120,18 @@ class ResidualReport:
         return self.order >= self.ledger
 
 
+def _curve_image(field: VectorField, phi: FormalCurve):
+    """(X o phi, phi'), the one composition behind residual and multiplicity."""
+    images = [compose_curve(c, phi.components) for c in field.components]
+    return images, [c.derivative() for c in phi.components]
+
+
 def invariance_residual(field: VectorField, phi: FormalCurve) -> ResidualReport:
     """Order of trusted vanishing of the two invariance residuals."""
-    images = [compose_curve(c, phi.components) for c in field.components]
-    derivs = [c.derivative() for c in phi.components]
+    return _residual(*_curve_image(field, phi))
+
+
+def _residual(images, derivs) -> ResidualReport:
     r1 = derivs[0] * images[1] - derivs[1] * images[0]
     r2 = derivs[1] * images[2] - derivs[2] * images[1]
     ledger = min(r1.trunc, r2.trunc)
@@ -141,10 +149,12 @@ def multiplicity(field: VectorField, phi: FormalCurve) -> int:
     Divides along the phi' component of least valuation and cross-checks the
     other components, so a curve that is not actually invariant is rejected.
     """
-    images = [compose_curve(c, phi.components) for c in field.components]
+    return _multiplicity(*_curve_image(field, phi))
+
+
+def _multiplicity(images, derivs) -> int:
     if all(im.is_zero() for im in images):
         raise ZeroAlongCurve("field vanishes along the curve at this precision")
-    derivs = [c.derivative() for c in phi.components]
     vals = [d.valuation() for d in derivs]
     pivot = min(range(3), key=lambda i: vals[i])
     if vals[pivot] == INFINITE:

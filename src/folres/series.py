@@ -157,29 +157,29 @@ class USeries:
                 raise NotDivisible("T", f"T^{j}")
         return USeries(self.coeffs[k:], self.trunc - k)
 
-    def invert_unit(self) -> "USeries":
-        if not self.coeffs[0]:
-            raise NotAUnit("constant term vanishes")
-        inv0 = ONE / self.coeffs[0]
-        out = [inv0] + [ZERO] * self.trunc
-        for k in range(1, self.trunc + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return USeries(out, self.trunc)
-
     def divide(self, other: "USeries") -> "USeries":
-        """Exact series division self/other; requires val(self) >= val(other)."""
+        """Exact series division self/other; requires val(self) >= val(other).
+
+        Long division after shifting both down by val(other): one scalar
+        inverse of the divisor's leading coefficient, none when it is 1.
+        """
         v = other.valuation()
-        if v is INFINITE or v == INFINITE:
+        if v == INFINITE:
             raise ZeroDivisionError("division by a series that is zero at precision")
-        v = int(v)
-        num = self.shift_down(v) if v else self
-        den = other.shift_down(v) if v else other
+        num, den = self.shift_down(int(v)), other.shift_down(int(v))
         t = min(num.trunc, den.trunc)
-        return (num.retrunc(t)) * (den.retrunc(t).invert_unit())
+        inv0 = None if den.coeffs[0] == ONE else ONE / den.coeffs[0]
+        tail = [(j, c) for j, c in enumerate(den.coeffs[1 : t + 1], 1) if c]
+        q = []
+        for k in range(t + 1):
+            acc = num.coeffs[k]
+            for j, c in tail:
+                if j > k:
+                    break
+                if q[k - j]:
+                    acc = acc - c * q[k - j]
+            q.append(acc if inv0 is None else acc * inv0)
+        return USeries(q, t)
 
     def eq_trusted(self, other: "USeries") -> bool:
         t = min(self.trunc, other.trunc)

@@ -212,10 +212,6 @@ class PolyMap:
             tuple(c.partial(v) for v in VARS) for c in self.comps
         )
 
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self after other: x -> self(other(x))."""
-        return PolyMap(tuple(c.substitute(other.comps) for c in self.comps))
-
 
 def _det3(m):
     """Determinant of a 3x3 matrix over any ring (scalars or series)."""

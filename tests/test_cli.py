@@ -96,6 +96,17 @@ def test_holonomy_golden(capsys):
             assert complex(*entry) == pytest.approx(complex(*gentry), abs=1e-12)
 
 
+def test_holonomy_near_equal_parameters(capsys):
+    # beta - alpha = 1e-22 rounds to float(beta) == float(alpha): the matrix
+    # is the unipotent limit, and is_identity stays exact
+    beta = "10000000000000000000001/10000000000000000000000"
+    code, out = run_cli(["holonomy", "--alpha", "1", "--beta", beta], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["is_identity"] is False and doc["beta"] == beta
+    assert complex(*doc["matrix"][0][1]) == pytest.approx(2j * cmath.pi, abs=1e-12)
+
+
 def test_timeform_golden(capsys):
     code, out = run_cli(
         ["timeform", "--exponent", "3", "--turns", "1/2", "--x0-re", "0.1"], capsys
@@ -231,10 +242,12 @@ def test_malformed_separatrix_file_exit_code(tmp_path, capsys, coeffs):
     assert json.loads(out)["message"].startswith("cannot load the separatrix file")
 
 
-def test_negative_trunc_exit_code(capsys):
-    code, out = run_cli(["classify", "[x, y, z]", "--trunc", "-1"], capsys)
+@pytest.mark.parametrize("trunc", ["-1", "1025"])
+def test_negative_trunc_exit_code(trunc, capsys):
+    code, out = run_cli(["classify", "[x, y, z]", "--trunc", trunc], capsys)
     assert code == 3
-    assert "--trunc" in json.loads(out)["message"]
+    message = json.loads(out)["message"]
+    assert "--trunc" in message and "1024" in message
 
 
 def test_negative_max_steps_exit_code(capsys):

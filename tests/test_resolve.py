@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folres.blowup import point_blowup, point_chart
 from folres.errors import PrecisionExhausted
@@ -22,10 +23,24 @@ from folres.resolve import (
     timeform_arc_integral,
     zflow_uniformity_check,
 )
-from folres.separatrix import FormalCurve, solve_graph_separatrix, transform_curve
-from folres.series import USeries
+from folres.scalars import GaussianRational
+from folres.separatrix import (
+    FormalCurve,
+    invariance_residual,
+    solve_graph_separatrix,
+    transform_curve,
+)
+from folres.series import MSeries, USeries
+from folres.vfield import nilpotent_normal_form_full
 
-from conftest import field_degenerate_family, field_xlambda, gr, rand_normal_form, vf
+from conftest import (
+    field_degenerate_family,
+    field_xlambda,
+    gr,
+    rand_mseries,
+    rand_normal_form,
+    vf,
+)
 
 
 class TestDetect:
@@ -346,3 +361,84 @@ class TestRandomNormalFormSoak:
         monkeypatch.setattr(rs, "solve_graph_separatrix", refuse)
         carried = [key(detect_persistent_normal_form(f, curve=c)) for f, c in cases]
         assert carried == solved
+
+
+class _Solved(Exception):
+    """Raised in place of a graph-separatrix solve."""
+
+
+def _refuse_solve(*args):
+    raise _Solved
+
+
+class TestOneCurveImagePerStep:
+    def test_each_step_composes_the_field_along_the_curve_once(self, monkeypatch):
+        import folres.separatrix as sx
+
+        original = sx.compose_curve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sx, "compose_curve", counted)
+        rng = random.Random(316)
+        for _ in range(6):
+            X, _, _ = rand_normal_form(rng, 16)
+            curve = detect_persistent_normal_form(X).separatrix_prefix
+            calls.clear()
+            trace = resolve_along(X, curve, 3)
+            assert all(s.report is not None for s in trace.steps)
+            assert len(calls) == 3 * len(trace.steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(0, 1),
+        degree=st.integers(1, 14),
+        data=st.data(),
+    )
+    def test_carried_curve_is_certified_exactly_by_the_residual_rule(
+        self, seed, k, degree, data
+    ):
+        # a soak field times z^k and a unit, so the normal-form representative
+        # differs from the factor-divisor one; the solved separatrix is cut to
+        # a ledger near the target and perturbed at one degree below or above it
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 16)
+        unit = MSeries.constant(1, 16) + rand_mseries(rng, 16, val=1, maxdeg=2, terms=3)
+        factor = unit * MSeries.monomial(1, (0, 0, k), 16)
+        field = X.map(lambda c: c * factor)
+        parts, _ = nilpotent_normal_form_full(field)
+        rep = parts.representative
+        target = min(degree, max(rep.trunc - 1, 1))
+
+        solved = solve_graph_separatrix(X, 14)
+        ledger = data.draw(st.integers(max(target - 2, 2), 14), label="ledger")
+        m = data.draw(st.integers(1, ledger), label="perturbed degree")
+        delta = data.draw(
+            st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(any), label="delta"
+        )
+        comps = [list(c.coeffs[: ledger + 1]) for c in (solved.phi1, solved.phi2)]
+        comps[data.draw(st.integers(0, 1), label="component")][m] += GaussianRational(*delta)
+        curve = FormalCurve.graph(USeries(comps[0], ledger), USeries(comps[1], ledger))
+
+        # the reference rule reads the normal-form representative
+        expected = None
+        if curve.ledger >= target:
+            cut = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
+            if cut.tangency_bound() >= 2 and invariance_residual(rep, cut).full:
+                expected = cut
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
+            try:
+                prefix = detect_persistent_normal_form(field, degree, curve).separatrix_prefix
+            except _Solved:
+                prefix = None
+        assert (prefix is None) == (expected is None)
+        if prefix is not None:
+            assert [(c.coeffs, c.trunc) for c in prefix.components] == [
+                (c.coeffs, c.trunc) for c in expected.components
+            ]

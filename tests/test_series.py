@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from folres.errors import (
     InsufficientSupport,
     NonzeroConstantTerm,
     NotDivisible,
 )
+from folres.scalars import ONE, ZERO, GaussianRational
 from folres.series import (
     INFINITE,
     MSeries,
@@ -20,6 +22,13 @@ from folres.series import (
 
 from conftest import gr, rand_mseries, rand_zero_const_triple, series, useries
 from oracles import least_squares_slope, xlambda_series
+
+
+_gauss = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(-9, 9),
+)
 
 
 def var(v, t=24):
@@ -184,6 +193,26 @@ class TestUSeries:
         b = useries([0, 1], 10)
         q = a.divide(b)
         assert [str(c) for c in q.coeffs[:3]] == ["1", "1", "0"]
+
+    @given(
+        a=st.lists(_gauss, max_size=11),
+        tail=st.lists(_gauss, max_size=10),
+        lead=_gauss.filter(bool),
+        kind=st.sampled_from(["unit", "one", "positive valuation"]),
+        v=st.integers(1, 4),
+    )
+    def test_divide_undoes_mul(self, a, tail, lead, kind, v):
+        t = 10
+        num = USeries(a, t)
+        if kind == "one":
+            den = USeries([ONE], t)
+        elif kind == "unit":
+            den = USeries([lead] + tail, t)
+        else:
+            den = USeries([ZERO] * v + [lead] + tail, t)
+        q = (num * den).divide(den)
+        assert q.trunc == t - den.valuation()
+        assert q.eq_trusted(num)
 
     def test_compose(self):
         f = MSeries({(2, 0, 0): 1}, 10)  # x^2, read along the curve as T^2
