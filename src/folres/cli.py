@@ -6,8 +6,9 @@ command emits one deterministic JSON document (compact by default,
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
---alpha, --beta or --turns that is not a rational number, and an unreadable
-separatrix file), 4 precision exhausted.
+--alpha, --beta or --turns that is not a rational number, an unreadable
+separatrix file, a field whose ledger pins no degree of a graph separatrix,
+and an --out file that cannot be written), 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -337,28 +338,32 @@ def main(argv=None) -> int:
             raise FolresError("--max-steps must be non-negative")
         report = args.fn(args)
     except ParseError as exc:
-        _emit({"error": "parse", "message": str(exc), "position": exc.position}, args)
-        return 2
+        error = {"error": "parse", "message": str(exc), "position": exc.position}
+        return _emit(error, args, 2)
     except PrecisionExhausted as exc:
-        _emit({"error": "precision_exhausted", "message": str(exc)}, args)
-        return 4
+        return _emit({"error": "precision_exhausted", "message": str(exc)}, args, 4)
     except FolresError as exc:
-        _emit(
-            {"error": type(exc).__name__, "message": str(exc)},
-            args,
-        )
-        return 3
-    _emit(report, args)
-    return 0
+        return _emit({"error": type(exc).__name__, "message": str(exc)}, args, 3)
+    return _emit(report, args, 0)
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2 if args.pretty else None)
+def _emit(payload, args, code: int) -> int:
+    """Write the JSON document and return the exit code: `code`, or 3 with a
+    JSON error on stdout when the --out file cannot be written."""
+    indent = 2 if args.pretty else None
+    text = json.dumps(payload, indent=indent)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            message = f"cannot write --out {args.out}: {exc.strerror}"
+            error = {"error": "output", "message": message}
+            sys.stdout.write(json.dumps(error, indent=indent) + "\n")
+            return 3
     else:
         sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

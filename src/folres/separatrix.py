@@ -29,6 +29,8 @@ don't be too lazy", J. Symb. Comp. 2002).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (
@@ -146,8 +148,10 @@ def _residual(images, derivs) -> ResidualReport:
 def multiplicity(field: VectorField, phi: FormalCurve) -> int:
     """Order of g in X o phi = g phi'; invariant under blow-ups.
 
-    Divides along the phi' component of least valuation and cross-checks the
-    other components, so a curve that is not actually invariant is rejected.
+    Divides along the phi' component of least valuation, the last one on a
+    tie, and cross-checks the other components, so a curve that is not
+    actually invariant is rejected.  On a graph curve the tie goes to
+    phi3' = 1, which divides without a scalar inverse.
     """
     return _multiplicity(*_curve_image(field, phi))
 
@@ -156,7 +160,7 @@ def _multiplicity(images, derivs) -> int:
     if all(im.is_zero() for im in images):
         raise ZeroAlongCurve("field vanishes along the curve at this precision")
     vals = [d.valuation() for d in derivs]
-    pivot = min(range(3), key=lambda i: vals[i])
+    pivot = min(range(3), key=lambda i: (vals[i], -i))
     if vals[pivot] == INFINITE:
         raise NotASeparatrix("curve is constant at this precision")
     if images[pivot].valuation() < vals[pivot]:
@@ -180,20 +184,22 @@ def _multiplicity(images, derivs) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _product_coeff(u, v, t: int) -> GaussianRational:
+def _product_coeff(u, nz, v, t: int) -> GaussianRational:
     """Coefficient t of the product of two series, one coefficient at a time.
 
-    u is a coefficient list with entries 0..t; v maps an index to a
-    coefficient and is called only behind the nonzero entries of u, so it may
-    compute its entries on demand.
+    u is a coefficient list and nz the increasing indices of its nonzero
+    entries, so the walk visits the support of u only and stops past t (the
+    sparse product of Johnson, 1974).  v maps an index to a coefficient and
+    is called only behind the nonzero entries of u, so it may compute its
+    entries on demand.
     """
     acc = ZERO
-    for s in range(t + 1):
-        c = u[s]
-        if c:
-            w = v(t - s)
-            if w:
-                acc = acc + c * w
+    for s in nz:
+        if s > t:
+            break
+        w = v(t - s)
+        if w:
+            acc = acc + u[s] * w
     return acc
 
 
@@ -203,60 +209,79 @@ class _Composer:
     Coefficient m of the composition depends only on a[0..m] and b[0..m],
     and entry s of a power of a (or b) only on a[0..s] (or b[0..s]).  Power
     entries are computed one coefficient at a time, on demand, as memoized
-    prefixes, and the composed coefficients are memoized by (tag, m).  After the solver
-    writes a[d] and b[d] it calls ``reopen(d)``, which drops every entry of
-    index >= d; the entries below d are final.
+    prefixes; each power row is a pair (row, nz) whose nz lists the indices
+    of the row's nonzero entries in increasing order.  The solver hands over
+    a and b with their nz lists, and appends d to them when it writes a
+    nonzero a[d] or b[d].  The composed coefficients are memoized in one list
+    per tag, indexed by m, with None for an entry not yet computed.  After
+    the solver writes a[d] and b[d] it calls ``reopen(d)``, which drops every
+    entry of index >= d from the power rows, their nz lists and the memo;
+    the entries below d are final.
     """
 
-    def __init__(self, a, b, cap: int):
-        unit = [ONE] + [ZERO] * cap
+    def __init__(self, a, nz_a, b, nz_b, cap: int):
+        unit = ([ONE] + [ZERO] * cap, [0])
         # a^0 and a^1 are the unit and the coefficient list itself
-        self.a_pows = [unit, a]
-        self.b_pows = [unit, b]
-        self.memo = {}
+        self.a_pows = [unit, (a, nz_a)]
+        self.b_pows = [unit, (b, nz_b)]
+        self.memo = defaultdict(list)
 
     @staticmethod
     def _power(pows, e: int, s: int):
-        """The power base^e (base = pows[1]) with entries 0..s computed."""
+        """The pair (row, nz) of base^e (base = pows[1]), entries 0..s computed."""
         while len(pows) <= e:
-            pows.append([])
-        base = pows[1].__getitem__
+            pows.append(([], []))
+        base = pows[1][0].__getitem__
         for f in range(2, e + 1):
-            prev, row = pows[f - 1], pows[f]
+            (prev, prev_nz), (row, nz) = pows[f - 1], pows[f]
             for t in range(len(row), s + 1):
-                row.append(_product_coeff(prev, base, t))
+                c = _product_coeff(prev, prev_nz, base, t)
+                row.append(c)
+                if c:
+                    nz.append(t)
         return pows[e]
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
-        key = (tag, m)
-        if key in self.memo:
-            return self.memo[key]
+        done = self.memo[tag]
+        if m < len(done):
+            if done[m] is not None:
+                return done[m]
+        else:
+            done.extend([None] * (m + 1 - len(done)))
         acc = ZERO
         for (i, j, k), c in series.terms.items():
             if k > m:
                 continue
             r = m - k
-            pa = self._power(self.a_pows, i, r)
-            pb = self._power(self.b_pows, j, r)
-            conv = _product_coeff(pa, pb.__getitem__, r)
+            pa, na = self._power(self.a_pows, i, r)
+            pb, nb = self._power(self.b_pows, j, r)
+            # walk the smaller of the two supports
+            conv = (
+                _product_coeff(pa, na, pb.__getitem__, r)
+                if len(na) <= len(nb)
+                else _product_coeff(pb, nb, pa.__getitem__, r)
+            )
             if conv:
                 acc = acc + c * conv
-        self.memo[key] = acc
+        done[m] = acc
         return acc
 
     def reopen(self, d: int) -> None:
         """Forget every entry of index >= d, after a[d] and b[d] were set."""
         for pows in (self.a_pows, self.b_pows):
-            for row in pows[2:]:
+            for row, nz in pows[2:]:
                 del row[d:]
-        self.memo = {key: v for key, v in self.memo.items() if key[1] < d}
+                del nz[bisect_left(nz, d):]
+        for done in self.memo.values():
+            del done[d:]
 
 
-def _deriv_conv(deriv, comp: _Composer, series, q: int, tag) -> GaussianRational:
-    """Coefficient q of a' * (series o phi), deriv holding the coefficients of a'."""
+def _deriv_conv(deriv, nz, comp: _Composer, series, q: int, tag) -> GaussianRational:
+    """Coefficient q of a' * (series o phi), deriv holding the coefficients of
+    a' and nz the indices of its nonzero entries."""
     if not series.terms:
         return ZERO
-    return _product_coeff(deriv, lambda m: comp.coeff(series, m, tag), q)
+    return _product_coeff(deriv, nz, lambda m: comp.coeff(series, m, tag), q)
 
 
 @dataclass
@@ -278,7 +303,9 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     Returns the curve with every coefficient through `degree` determined (or
     through the largest degree the field's ledger supports, if smaller).
     Raises Obstructed when a residual coefficient cannot be matched and
-    NotGraphParameterizable when the system is not z-parameterized.
+    NotGraphParameterizable when the system is not z-parameterized, or when
+    the field's ledger pins not even the degree-1 pair (as for the radial
+    field, whose degree-1 columns all vanish).
     """
     F, G, H = field.components
     h_axis = _axis_valuation(H)
@@ -299,15 +326,17 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     b = [ZERO] * (cap + 2)
     da = [ZERO] * (cap + 1)  # coefficients of x'(z): da[r - 1] = r * a[r]
     db = [ZERO] * (cap + 1)
-    comp = _Composer(a, b, cap)
+    # the increasing indices of the nonzero entries of a, b, da and db
+    nz_a, nz_b, nz_da, nz_db = [], [], [], []
+    comp = _Composer(a, nz_a, b, nz_b, cap)
 
     def res_a(m):
         """Degree m of x'(z) (H o phi) - F o phi."""
-        return _deriv_conv(da, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F")
+        return _deriv_conv(da, nz_da, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F")
 
     def res_b(m):
         """Degree m of y'(z) (H o phi) - G o phi."""
-        return _deriv_conv(db, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G")
+        return _deriv_conv(db, nz_db, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G")
 
     frontier_a = -1
     frontier_b = -1
@@ -316,20 +345,20 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
 
         def col_a_ra(m):
             acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(da, comp, sys_.Hx, m - d, "Hx")
+            acc = acc + _deriv_conv(da, nz_da, comp, sys_.Hx, m - d, "Hx")
             return acc - (comp.coeff(sys_.Fx, m - d, "Fx") if m >= d else ZERO)
 
         def col_b_ra(m):
-            acc = _deriv_conv(da, comp, sys_.Hy, m - d, "Hy")
+            acc = _deriv_conv(da, nz_da, comp, sys_.Hy, m - d, "Hy")
             return acc - (comp.coeff(sys_.Fy, m - d, "Fy") if m >= d else ZERO)
 
         def col_a_rb(m):
-            acc = _deriv_conv(db, comp, sys_.Hx, m - d, "Hx")
+            acc = _deriv_conv(db, nz_db, comp, sys_.Hx, m - d, "Hx")
             return acc - (comp.coeff(sys_.Gx, m - d, "Gx") if m >= d else ZERO)
 
         def col_b_rb(m):
             acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(db, comp, sys_.Hy, m - d, "Hy")
+            acc = acc + _deriv_conv(db, nz_db, comp, sys_.Hy, m - d, "Hy")
             return acc - (comp.coeff(sys_.Gy, m - d, "Gy") if m >= d else ZERO)
 
         row_a = _schedule_row(res_a, col_a_ra, col_b_ra, frontier_a, cap, d)
@@ -339,6 +368,12 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         A, B = _solve_two_by_two(row_a, row_b, d)
         a[d], b[d] = A, B
         da[d - 1], db[d - 1] = A * d, B * d
+        if A:
+            nz_a.append(d)
+            nz_da.append(d - 1)
+        if B:
+            nz_b.append(d)
+            nz_db.append(d - 1)
         comp.reopen(d)
         # verify every residual coefficient between the old and new frontiers
         for name, res, lo, hi in (
@@ -354,6 +389,10 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         frontier_a = row_a[0]
         frontier_b = row_b[0]
         solved = d
+    if solved == 0:
+        raise NotGraphParameterizable(
+            f"no degree of the graph series is pinned within the field ledger {cap}"
+        )
     a_series = USeries(a[: solved + 1], solved)
     b_series = USeries(b[: solved + 1], solved)
     return FormalCurve.graph(a_series, b_series)

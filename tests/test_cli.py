@@ -177,6 +177,16 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["class"] == "elementary"
 
 
+def test_unwritable_out_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli(["classify", "[x, y, z]", "--out", str(target)], capsys)
+    assert code == 3
+    error = json.loads(out)
+    assert error["error"] == "output"
+    assert "--out" in error["message"] and str(target) in error["message"]
+    assert not target.exists()
+
+
 def test_console_entry_point_smoke():
     out = subprocess.run(
         [sys.executable, "-m", "folres.cli", "classify", "[x, y, z]"],
@@ -291,6 +301,16 @@ def test_resolve_requires_adapted_coordinates(capsys):
     code, out = run_cli(["resolve", "[x^2, x*z, y - x*z]"], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "NotGraphParameterizable"
+
+
+def test_resolve_dicritical_field_exit_code(capsys):
+    # every degree-1 column of the radial field vanishes, so the solver pins
+    # no degree of a graph separatrix within the ledger
+    code, out = run_cli(["resolve", "[x, y, z]"], capsys)
+    assert code == 3
+    error = json.loads(out)
+    assert error["error"] == "NotGraphParameterizable"
+    assert "ledger 24" in error["message"]
 
 
 def test_precision_exhausted_exit_code(capsys):

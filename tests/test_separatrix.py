@@ -13,9 +13,11 @@ from folres.errors import (
 )
 from folres.parsing import parse_field
 from folres.scalars import ZERO
-from folres.series import MSeries, USeries
+from folres.series import MSeries, USeries, compose_curve
 from folres.separatrix import (
     FormalCurve,
+    _Composer,
+    _product_coeff,
     invariance_residual,
     multiplicity,
     solve_graph_separatrix,
@@ -187,6 +189,81 @@ class TestSolveGraphSeparatrix:
         X = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(1, 0, 0): 1}, 10)
         with pytest.raises(NotGraphParameterizable):
             solve_graph_separatrix(X, 5)
+
+    def test_dicritical_field_pins_no_degree(self):
+        # every degree-1 column of the radial field vanishes, so the ledger
+        # ends before the first pair is pinned; a ledger-0 curve would fail
+        # later, in compose_curve
+        X = parse_field("[x, y, z]", 12)
+        with pytest.raises(NotGraphParameterizable, match="ledger 12"):
+            solve_graph_separatrix(X, 11)
+
+
+_scalars = st.one_of(
+    st.just(ZERO), st.builds(gr, st.integers(-3, 3), st.integers(-2, 2))
+)
+
+
+class TestSparseSupports:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_scalars, max_size=12),
+        st.lists(_scalars, min_size=12, max_size=12),
+        st.integers(-1, 11),
+    )
+    def test_product_coeff_equals_the_dense_sum(self, u, v, t):
+        nz = [i for i, c in enumerate(u) if c]
+        called = []
+
+        def getter(m):
+            called.append(m)
+            return v[m]
+
+        dense = ZERO
+        for s in range(min(t + 1, len(u))):
+            dense = dense + u[s] * v[t - s]
+        assert _product_coeff(u, nz, getter, t) == dense
+        # v is read only behind the nonzero entries of u
+        assert called == [t - s for s in nz if s <= t]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_composer_supports_follow_reopen(self, seed):
+        # the solver's protocol: write a[d], b[d], append d to the support of
+        # a nonzero entry, reopen at d; reopening at an earlier point only
+        # forgets entries.  Every support stays the nonzero indices of its row
+        # and every coefficient equals the dense composition.
+        rng = random.Random(seed)
+        cap = 10
+        a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
+        nz_a, nz_b = [], []
+        comp = _Composer(a, nz_a, b, nz_b, cap)
+        series = [rand_mseries(rng, cap, maxdeg=4, terms=6) for _ in range(2)]
+        d = 1
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.3 and d <= cap:
+                for row, nz in ((a, nz_a), (b, nz_b)):
+                    row[d] = rand_scalar(rng) if rng.random() < 0.6 else ZERO
+                    if row[d]:
+                        nz.append(d)
+                comp.reopen(d)
+                d += 1
+            elif op < 0.45:
+                comp.reopen(rng.randint(0, d))
+            else:
+                tag = rng.randrange(2)
+                m = rng.randint(0, cap)
+                curve = (
+                    USeries(a[: cap + 1], cap),
+                    USeries(b[: cap + 1], cap),
+                    USeries.identity(cap),
+                )
+                expect = compose_curve(series[tag], curve).coeffs[m]
+                assert comp.coeff(series[tag], m, tag) == expect
+            for pows in (comp.a_pows, comp.b_pows):
+                for row, nz in pows:
+                    assert nz == [i for i, c in enumerate(row) if c]
 
 
 class TestTransformCurve:
