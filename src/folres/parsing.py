@@ -9,57 +9,64 @@ Grammar (whitespace ignored; positions are 0-based character offsets):
     factor : ('-')* atom ('^' nat)?
     atom   : nat | 'i' | 'x' | 'y' | 'z' | '(' expr ')'
 
+A ``nat`` is a run of Unicode decimal digits, the digits ``int`` reads, so
+``x^٣`` is ``x^3``; a superscript such as ``²`` is not a digit and is an
+unexpected character.  Exponents are capped at ``MAX_EXPONENT`` and
+parentheses nest at most ``MAX_NESTING`` deep; past either cap the input is
+a ``ParseError`` at the offending ``^`` or ``(``.
+
 Division is restricted to nonzero constant divisors (rationals like 1/2 and
 scalar units like (1+i)).  Parse-print-parse is idempotent for the canonical
 graded-lex printer.
+
+The descent works on plain ``{(i, j, k): GaussianRational}`` term dicts,
+truncated at ``trunc`` and free of zero coefficients at every step, and
+builds one ``MSeries`` per component at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import re
 
 from .errors import ParseError
-from .scalars import GaussianRational
-from .series import MSeries, format_mseries
+from .scalars import GaussianRational, I, ONE
+from .series import MSeries, format_mseries, mul_terms, pow_terms
 from .vfield import VectorField
 
-_ATOM_VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+MAX_EXPONENT = 4096
+MAX_NESTING = 200
+
+_ONE_MONO = (0, 0, 0)
+_NAMES = {"i": (_ONE_MONO, I), "x": ((1, 0, 0), ONE), "y": ((0, 1, 0), ONE), "z": ((0, 0, 1), ONE)}
+# groups: nat, name, operator; anything else but whitespace is an error
+_TOKEN = re.compile(r"(\d+)|([xyzi])|([-+*/^(),\[\]])|(\S)")
+_KINDS = (None, "nat", "name")
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(src: str):
+def _tokenize(src: str) -> list:
+    """The (kind, text, pos) triples of src, ending with an 'end' token."""
     tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", src[i:j], i))
-            i = j
-            continue
-        if ch in "xyzi":
-            tokens.append(_Token("name", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^(),[]":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(src)))
+    for m in _TOKEN.finditer(src):
+        group, text = m.lastindex, m.group()
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        tokens.append((_KINDS[group] if group < 3 else text, text, m.start()))
+    tokens.append(("end", "", len(src)))
     return tokens
+
+
+def _add_into(acc: dict, rhs: dict, negate: bool) -> None:
+    """acc += rhs (or -= rhs) in place, dropping coefficients that cancel."""
+    for m, c in rhs.items():
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = -c if negate else c
+        else:
+            total = cur - c if negate else cur + c
+            if total:
+                acc[m] = total
+            else:
+                del acc[m]
 
 
 class _Parser:
@@ -67,14 +74,12 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.k = 0
         self.trunc = trunc
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def take(self, kind=None) -> _Token:
+    def take(self, kind=None) -> tuple:
         tok = self.tokens[self.k]
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end'!r}", tok.pos)
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end'!r}", tok[2])
         self.k += 1
         return tok
 
@@ -88,70 +93,65 @@ class _Parser:
             comps.append(self.parse_expr())
         self.take("]")
         self.take("end")
-        return VectorField(*comps)
+        return VectorField(*(MSeries(c, self.trunc) for c in comps))
 
-    def parse_expr(self) -> MSeries:
+    def parse_expr(self) -> dict:
         acc = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
+        while self.tokens[self.k][0] in ("+", "-"):
+            negate = self.take()[0] == "-"
+            _add_into(acc, self.parse_term(), negate)
         return acc
 
-    def parse_term(self) -> MSeries:
+    def parse_term(self) -> dict:
         acc = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.take()
-                acc = acc * self.parse_factor()
-            elif tok.kind == "/":
-                pos = self.take().pos
+            kind, _, pos = self.tokens[self.k]
+            if kind == "/":
+                self.k += 1
                 rhs = self.parse_factor()
-                c = rhs.constant_term()
-                if rhs.max_degree() > 0 or not c:
+                if len(rhs) != 1 or _ONE_MONO not in rhs:
                     raise ParseError("division only by nonzero constants", pos)
-                acc = acc.scale(GaussianRational(1) / c)
-            elif tok.kind in ("nat", "name", "("):
-                # juxtaposition, e.g. "2y"
-                acc = acc * self.parse_factor()
+                inv = ONE / rhs[_ONE_MONO]
+                acc = {m: inv * c for m, c in acc.items()}
+            elif kind in ("*", "nat", "name", "("):
+                # a missing '*' is juxtaposition, e.g. "2y"
+                if kind == "*":
+                    self.k += 1
+                acc = mul_terms(acc, self.parse_factor(), self.trunc)
             else:
                 return acc
 
-    def parse_factor(self) -> MSeries:
+    def parse_factor(self) -> dict:
         negate = False
-        while self.peek().kind == "-":
-            self.take()
+        while self.tokens[self.k][0] == "-":
+            self.k += 1
             negate = not negate
-        base = self.parse_atom()
-        if self.peek().kind == "^":
-            pos = self.take().pos
-            tok = self.take("nat")
-            exp = int(tok.text)
-            if exp > 4096:
-                raise ParseError("exponent too large", pos)
-            if exp > self.trunc and base.valuation() >= 1:
-                base = MSeries.zero(self.trunc)
-            else:
-                base = base.pow(exp)
-        return -base if negate else base
-
-    def parse_atom(self) -> MSeries:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.take()
-            return MSeries.constant(Fraction(int(tok.text)), self.trunc)
-        if tok.kind == "name":
-            self.take()
-            if tok.text == "i":
-                return MSeries.constant(GaussianRational(0, 1), self.trunc)
-            return MSeries.variable(tok.text, self.trunc)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_expr()
+        kind, text, pos = self.take()
+        if kind == "nat":
+            n = int(text)
+            base = {_ONE_MONO: GaussianRational.coerce(n)} if n else {}
+        elif kind == "name":
+            mono, c = _NAMES[text]
+            base = {mono: c} if text == "i" or self.trunc >= 1 else {}
+        elif kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("nesting too deep", pos)
+            base = self.parse_expr()
             self.take(")")
-            return inner
-        raise ParseError(f"expected a value, found {tok.text or 'end'!r}", tok.pos)
+            self.depth -= 1
+        else:
+            raise ParseError(f"expected a value, found {text or 'end'!r}", pos)
+        if self.tokens[self.k][0] == "^":
+            pos = self.take()[2]
+            exp = int(self.take("nat")[1])
+            if exp > MAX_EXPONENT:
+                raise ParseError("exponent too large", pos)
+            if exp > self.trunc and _ONE_MONO not in base:
+                base = {}
+            else:
+                base = pow_terms(base, exp, self.trunc)
+        return {m: -c for m, c in base.items()} if negate else base
 
 
 def parse_field(src: str, trunc: int) -> VectorField:
@@ -163,7 +163,7 @@ def parse_series(src: str, trunc: int) -> MSeries:
     p = _Parser(src, trunc)
     out = p.parse_expr()
     p.take("end")
-    return out
+    return MSeries(out, trunc)
 
 
 def format_field(field: VectorField) -> str:

@@ -96,10 +96,10 @@ class GaussianRational:
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -176,22 +176,28 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    # n/d in lowest terms, d > 0
+    if d != 1:
+        g = gcd(n, d)
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_scalar(s: GaussianRational) -> str:
-    """Canonical printing ``a/b+c/d*i``; parse-print-parse is idempotent."""
-    re, im = s.re, s.im
-    if im == 0:
-        return _frac_str(re)
-    if im == 1:
+    """Canonical printing ``a/b+c/d*i`` from the triple, one ``gcd`` per
+    part; parse-print-parse is idempotent."""
+    a, b, d = s._a, s._b, s._d
+    if not b:
+        return _ratio_str(a, d)
+    if b == d:
         imag = "i"
-    elif im == -1:
+    elif b == -d:
         imag = "-i"
     else:
-        imag = f"{_frac_str(im)}*i"
-    if re == 0:
+        imag = f"{_ratio_str(b, d)}*i"
+    if not a:
         return imag
-    sign = "+" if im > 0 else "-"
-    return f"{_frac_str(re)}{sign}{imag.lstrip('-')}"
+    sign = "+" if b > 0 else "-"
+    return f"{_ratio_str(a, d)}{sign}{imag.lstrip('-')}"

@@ -30,7 +30,7 @@ from .errors import (
     NotAUnit,
     NotDivisible,
 )
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ZERO, ONE, format_scalar
 
 INFINITE = math.inf
 
@@ -66,6 +66,50 @@ def convolve(a, b, t: int) -> list:
                 if cb:
                     out[i + j] = out[i + j] + ca * cb
     return out
+
+
+def mul_terms(a: dict, b: dict, t: int) -> dict:
+    """Terms of total degree <= t of the product of two sparse term dicts.
+
+    The one sparse product of the package, on ``{(i, j, k): coefficient}``
+    dicts without zero coefficients: a one-term factor is an exponent shift
+    plus one scaling pass, and coefficients that cancel are dropped.
+    """
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    if len(small) == 1:
+        ((i1, j1, k1), c), = small.items()
+        d1 = i1 + j1 + k1
+        scale = c != ONE
+        out = {}
+        for (i2, j2, k2), v in big.items():
+            if d1 + i2 + j2 + k2 <= t:
+                out[(i1 + i2, j1 + j2, k1 + k2)] = c * v if scale else v
+        return out
+    out = {}
+    for (i1, j1, k1), u in small.items():
+        d1 = i1 + j1 + k1
+        for (i2, j2, k2), v in big.items():
+            if d1 + i2 + j2 + k2 > t:
+                continue
+            m = (i1 + i2, j1 + j2, k1 + k2)
+            cur = out.get(m)
+            out[m] = u * v if cur is None else cur + u * v
+    return {m: c for m, c in out.items() if c}
+
+
+def pow_terms(a: dict, n: int, t: int) -> dict:
+    """a^n truncated at total degree t, by repeated squaring with ``mul_terms``."""
+    if len(a) == 1 and ONE in a.values():
+        ((i, j, k), _), = a.items()
+        return {(i * n, j * n, k * n): ONE} if (i + j + k) * n <= t else {}
+    result = {(0, 0, 0): ONE}
+    while n:
+        if n & 1:
+            result = mul_terms(result, a, t)
+        n >>= 1
+        if n:
+            a = mul_terms(a, a, t)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -289,42 +333,10 @@ class MSeries:
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         t = min(self.trunc, other.trunc)
-        small, big = (self.terms, other.terms)
-        if len(small) > len(big):
-            small, big = big, small
-        if len(small) == 1:
-            # single-term factor: exponent shift plus one scaling pass
-            ((i1, j1, k1), c) = next(iter(small.items()))
-            d1 = i1 + j1 + k1
-            scale = c != ONE
-            out = {}
-            for (i2, j2, k2), b in big.items():
-                if d1 + i2 + j2 + k2 > t:
-                    continue
-                out[(i1 + i2, j1 + j2, k1 + k2)] = c * b if scale else b
-            return MSeries(out, t)
-        out = {}
-        for (i1, j1, k1), a in small.items():
-            d1 = i1 + j1 + k1
-            for (i2, j2, k2), b in big.items():
-                if d1 + i2 + j2 + k2 > t:
-                    continue
-                m = (i1 + i2, j1 + j2, k1 + k2)
-                cur = out.get(m)
-                out[m] = a * b if cur is None else cur + a * b
-        return MSeries(out, t)
+        return MSeries(mul_terms(self.terms, other.terms, t), t)
 
-    def pow(self, n: int, trunc: int | None = None) -> "MSeries":
-        t = self.trunc if trunc is None else trunc
-        result = MSeries.constant(ONE, t)
-        base = self.retrunc(t) if t < self.trunc else self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    def pow(self, n: int) -> "MSeries":
+        return MSeries(pow_terms(self.terms, n, self.trunc), self.trunc)
 
     # -- derivations and divisions ---------------------------------------------------
 
@@ -516,30 +528,30 @@ def _graded_lex_key(m):
 
 
 def format_mseries(s: MSeries) -> str:
-    """Canonical graded-lex printing, ascending degree, x before y before z."""
+    """Canonical graded-lex printing, ascending degree, x before y before z.
+
+    Each coefficient is printed once and classified by its text: 1 and -1
+    leave the bare monomial, a real or purely imaginary one (no sign after its
+    first character) multiplies it as printed, and any other is parenthesised.
+    """
     if not s.terms:
         return "0"
     parts = []
     for m in sorted(s.terms, key=_graded_lex_key):
-        c = s.terms[m]
-        mono = _mono_str(m)
-        if mono == "1":
-            text = str(c)
-            negative = text.startswith("-")
+        cs = format_scalar(s.terms[m])
+        if m == (0, 0, 0):
+            text = cs
+        elif cs == "1":
+            text = _mono_str(m)
+        elif cs == "-1":
+            text = f"-{_mono_str(m)}"
+        elif "+" in cs or "-" in cs[1:]:
+            text = f"({cs})*{_mono_str(m)}"
         else:
-            if c == ONE:
-                text, negative = mono, False
-            elif c == -ONE:
-                text, negative = f"-{mono}", True
-            elif c.im == 0 or c.re == 0:
-                cs = str(c)
-                negative = cs.startswith("-")
-                text = f"{cs}*{mono}"
-            else:
-                text, negative = f"({c})*{mono}", False
+            text = f"{cs}*{_mono_str(m)}"
         if not parts:
             parts.append(text)
-        elif negative:
+        elif text[0] == "-":
             parts.append(f"- {text[1:]}")
         else:
             parts.append(f"+ {text}")
