@@ -98,7 +98,8 @@ def mul_terms(a: dict, b: dict, t: int) -> dict:
 
 
 def pow_terms(a: dict, n: int, t: int) -> dict:
-    """a^n truncated at total degree t, by repeated squaring with ``mul_terms``."""
+    """a^n truncated at total degree t: an exponent shift for a monomial with
+    coefficient 1, as in ``x^5``, and repeated squaring with ``mul_terms``."""
     if len(a) == 1 and ONE in a.values():
         ((i, j, k), _), = a.items()
         return {(i * n, j * n, k * n): ONE} if (i + j + k) * n <= t else {}
