@@ -140,7 +140,7 @@ def point_blowup(field: VectorField, chart: ChartMap) -> BlowupResult:
         raise RegularPoint("refusing to blow up a regular point")
     t = field.trunc
     di = var_index(chart.divisor_var)
-    composed = [c.substitute_monomials(chart.substitution, t) for c in field.components]
+    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
     out = []
     for vi in range(3):
         if vi == di:
@@ -166,7 +166,7 @@ def curve_blowup(field: VectorField, chart: ChartMap) -> BlowupResult:
     t = field.trunc
     di = var_index(chart.divisor_var)
     scaled = next(i for i in transverse if i != di)
-    composed = [c.substitute_monomials(chart.substitution, t) for c in field.components]
+    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
     out = [None, None, None]
     out[ai] = composed[ai]
     out[di] = composed[di]
@@ -187,7 +187,7 @@ def weight2_blowup(field: VectorField) -> BlowupResult:
         raise NotInNormalForm(reason or "not in nilpotent normal form")
     chart = weight2_chart()
     t = field.trunc
-    composed = [c.substitute_monomials(chart.substitution, t) for c in field.components]
+    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
     half = MSeries.constant("1/2", t)
     y = MSeries.variable("y", t)
     z = MSeries.variable("z", t)

@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
 --alpha, --beta or --turns that is not a rational number, an unreadable
 separatrix file, a field whose ledger pins no degree of a graph separatrix,
-and an --out file that cannot be written), 4 precision exhausted.
+a coefficient too long to print under Python's int-string limit, and an
+--out file that cannot be written), 4 precision exhausted.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ A ``nat`` is a run of Unicode decimal digits, the digits ``int`` reads, so
 ``x^٣`` is ``x^3``; a superscript such as ``²`` is not a digit and is an
 unexpected character.  Exponents are capped at ``MAX_EXPONENT`` and
 parentheses nest at most ``MAX_NESTING`` deep; past either cap the input is
-a ``ParseError`` at the offending ``^`` or ``(``.
+a ``ParseError`` at the offending ``^`` or ``(``, as is a numeral past
+Python's int-string limit, at the numeral or, for an exponent, at its ``^``.
 
 Division is restricted to nonzero constant divisors (rationals like 1/2 and
 scalar units like (1+i)).  Parse-print-parse is idempotent for the canonical
@@ -27,6 +28,7 @@ builds one ``MSeries`` per component at the end.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ParseError
 from .scalars import GaussianRational, I, ONE
@@ -53,6 +55,14 @@ def _tokenize(src: str) -> list:
         tokens.append((_KINDS[group] if group < 3 else text, text, m.start()))
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+def _nat(text: str, pos: int, message: str = "") -> int:
+    """A numeral's value; a ParseError past Python's int-string limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message or f"numeral longer than {sys.get_int_max_str_digits()} digits", pos) from None
 
 
 def _add_into(acc: dict, rhs: dict, negate: bool) -> None:
@@ -128,7 +138,7 @@ class _Parser:
             negate = not negate
         kind, text, pos = self.take()
         if kind == "nat":
-            n = int(text)
+            n = _nat(text, pos)
             base = {_ONE_MONO: GaussianRational.coerce(n)} if n else {}
         elif kind == "name":
             mono, c = _NAMES[text]
@@ -144,7 +154,7 @@ class _Parser:
             raise ParseError(f"expected a value, found {text or 'end'!r}", pos)
         if self.tokens[self.k][0] == "^":
             pos = self.take()[2]
-            exp = int(self.take("nat")[1])
+            exp = _nat(self.take("nat")[1], pos, "exponent too large")
             if exp > MAX_EXPONENT:
                 raise ParseError("exponent too large", pos)
             if exp > self.trunc and _ONE_MONO not in base:

@@ -13,8 +13,11 @@ singularity classification and the degree-by-degree solvers rely on.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
+
+from .errors import FolresError
 
 
 def _frac(x) -> Fraction:
@@ -182,12 +185,16 @@ def _ratio_str(n: int, d: int) -> str:
         g = gcd(n, d)
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past Python's int-string limit
+        raise FolresError(f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def format_scalar(s: GaussianRational) -> str:
     """Canonical printing ``a/b+c/d*i`` from the triple, one ``gcd`` per
-    part; parse-print-parse is idempotent."""
+    part; parse-print-parse is idempotent.  Past Python's int-string limit,
+    a ``FolresError``."""
     a, b, d = s._a, s._b, s._d
     if not b:
         return _ratio_str(a, d)

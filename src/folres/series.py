@@ -11,6 +11,7 @@ trusted.  Operations propagate the ledger pessimistically:
 
 * sums and products keep ``min`` of the input ledgers,
 * substitution by series with zero constant term keeps the ``min`` ledger,
+  and a shift of the origin keeps its own, reading the terms as exact,
 * division by a variable lowers the ledger by one,
 * differentiation lowers the ledger by one,
 * inversion of a unit keeps the ledger.
@@ -18,6 +19,10 @@ trusted.  Operations propagate the ledger pessimistically:
 Coefficients above the ledger are never stored.  ``valuation`` returns
 ``INFINITE`` (``math.inf``) when every trusted coefficient vanishes; callers
 must read that as "at least trunc + 1".
+
+On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
+product and ``substitute_terms`` the one substitution, behind both
+``MSeries.substitute`` (the shears) and ``MSeries.shift_origin``.
 """
 
 from __future__ import annotations
@@ -49,8 +54,7 @@ def var_index(v) -> int:
         raise ValueError(f"unknown variable {v!r}") from None
 
 
-def _coerce_scalar(c) -> GaussianRational:
-    return c if isinstance(c, GaussianRational) else GaussianRational.coerce(c)
+_coerce_scalar = GaussianRational.coerce
 
 
 def convolve(a, b, t: int) -> list:
@@ -111,6 +115,34 @@ def pow_terms(a: dict, n: int, t: int) -> dict:
         if n:
             a = mul_terms(a, a, t)
     return result
+
+
+def substitute_terms(terms: dict, subs, t: int) -> dict:
+    """Terms of degree <= t of terms(sub_x, sub_y, sub_z), on term dicts: the
+    one substitution.  Powers of each substitute and the (x, y) products are
+    cached and built with ``mul_terms``.  Terms of degree above t are skipped,
+    as their images start above t when no substitute has a constant term."""
+    pows = [[{(0, 0, 0): ONE}] for _ in range(3)]
+
+    def power(vi: int, e: int) -> dict:
+        cache = pows[vi]
+        while len(cache) <= e:
+            cache.append(mul_terms(cache[-1], subs[vi], t))
+        return cache[e]
+
+    out = {}
+    xy_cache: dict[tuple, dict] = {}
+    for (i, j, k), c in terms.items():
+        if i + j + k > t:
+            continue
+        xy = xy_cache.get((i, j))
+        if xy is None:
+            xy = xy_cache[(i, j)] = mul_terms(power(0, i), power(1, j), t)
+        for m, v in (mul_terms(xy, power(2, k), t) if k else xy).items():
+            w = c if v == ONE else c * v
+            cur = out.get(m)
+            out[m] = w if cur is None else cur + w
+    return {m: c for m, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +447,12 @@ class MSeries:
     def substitute(self, subs) -> "MSeries":
         """Composition s(sub_x, sub_y, sub_z); each sub must kill the constant term."""
         subs = tuple(subs)
-        for s in subs:
-            if s.constant_term():
-                raise NonzeroConstantTerm("substituted series has a constant term")
+        if any(s.constant_term() for s in subs):
+            raise NonzeroConstantTerm("substituted series has a constant term")
         t = min([self.trunc] + [s.trunc for s in subs])
-        pows = [{0: MSeries.constant(ONE, t)} for _ in range(3)]
+        return MSeries(substitute_terms(self.terms, [s.terms for s in subs], t), t)
 
-        def power(vi: int, e: int) -> "MSeries":
-            cache = pows[vi]
-            if e not in cache:
-                cache[e] = power(vi, e - 1) * subs[vi].retrunc(min(t, subs[vi].trunc))
-            return cache[e]
-
-        out = MSeries.zero(t)
-        xy_cache: dict[tuple, MSeries] = {}
-        for (i, j, k), c in self.terms.items():
-            if i + j + k > t:
-                # substituted valuation >= original total degree > t
-                continue
-            xy = xy_cache.get((i, j))
-            if xy is None:
-                xy = power(0, i) * power(1, j)
-                xy_cache[(i, j)] = xy
-            out = out + (xy * power(2, k)).scale(c)
-        return out
-
-    def substitute_monomials(self, monos, trunc: int) -> "MSeries":
+    def substitute_monomials(self, monos) -> "MSeries":
         """Fast path: substitute a monomial (coeff 1) for each variable."""
         out = {}
         for (i, j, k), c in self.terms.items():
@@ -448,10 +460,10 @@ class MSeries:
             for e, mono in zip((i, j, k), monos):
                 for vi, p in enumerate(mono):
                     m0[vi] += e * p
-            if sum(m0) <= trunc:
+            if sum(m0) <= self.trunc:
                 key = tuple(m0)
                 out[key] = out.get(key, ZERO) + c
-        return MSeries(out, trunc)
+        return MSeries(out, self.trunc)
 
     def shift_origin(self, shifts) -> "MSeries":
         """s(x + c1, y + c2, z + c3) for scalar shifts.
@@ -459,25 +471,13 @@ class MSeries:
         Trusts the stored coefficients as exact: a constant shift folds high
         degrees down, so this is only meaningful for polynomial content (the
         resolution driver translates blow-up transforms of polynomial germs).
+        The ledger is kept: no term's image rises above the term's degree.
         """
-        shifts = [_coerce_scalar(c) for c in shifts]
-        acc: dict[tuple, GaussianRational] = {}
-        binom = _binomial_table(max((max(m) for m in self.terms), default=0))
-        for (i, j, k), c in self.terms.items():
-            expanded = {(): c}
-            for (e, s) in ((i, shifts[0]), (j, shifts[1]), (k, shifts[2])):
-                new: dict[tuple, GaussianRational] = {}
-                powers = _scalar_powers(s, e)
-                for prefix, coeff in expanded.items():
-                    for r in range(e + 1):
-                        w = coeff * binom[e][r] * powers[e - r]
-                        if w:
-                            key = prefix + (r,)
-                            new[key] = new.get(key, ZERO) + w
-                expanded = new
-            for m, coeff in expanded.items():
-                acc[m] = acc.get(m, ZERO) + coeff
-        return MSeries(acc, self.trunc)
+        subs = []
+        for mono, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), shifts):
+            c = _coerce_scalar(c)
+            subs.append({mono: ONE, (0, 0, 0): c} if c else {mono: ONE})
+        return MSeries(substitute_terms(self.terms, subs, self.trunc), self.trunc)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -557,25 +557,6 @@ def format_mseries(s: MSeries) -> str:
         else:
             parts.append(f"+ {text}")
     return " ".join(parts)
-
-
-def _binomial_table(n: int):
-    table = [[1]]
-    for r in range(1, n + 1):
-        row = [1]
-        prev = table[-1]
-        for c in range(1, r):
-            row.append(prev[c - 1] + prev[c])
-        row.append(1)
-        table.append(row)
-    return table
-
-
-def _scalar_powers(s: GaussianRational, e: int):
-    powers = [ONE]
-    for _ in range(e):
-        powers.append(powers[-1] * s)
-    return powers
 
 
 # ---------------------------------------------------------------------------

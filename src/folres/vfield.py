@@ -159,7 +159,7 @@ def _permute_axis_last(field: VectorField, axis):
         mono[old] = 1
         monos[new] = tuple(mono)
     comps = [field.components[perm[i]] for i in range(3)]
-    return tuple(c.substitute_monomials(monos, c.trunc) for c in comps)
+    return tuple(c.substitute_monomials(monos) for c in comps)
 
 
 def factor_divisor(field: VectorField, v) -> tuple[int, VectorField]:

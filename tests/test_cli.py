@@ -282,6 +282,15 @@ def test_bad_rational_flag_exit_code(args, flag, capsys):
     assert flag in json.loads(out)["message"]
 
 
+def test_unprintable_coefficient_exit_code(capsys):
+    # 17^4096 parses, but its 5,040 digits pass Python's int-string limit
+    code, out = run_cli(["classify", "[17^4096, y, z]"], capsys)
+    assert code == 3
+    error = json.loads(out)
+    assert error["error"] == "FolresError"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
+
+
 def test_curve_chart_must_be_transverse(capsys):
     code, out = run_cli(
         ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--chart", "x"], capsys

@@ -2,6 +2,7 @@
 digits and nesting depth, and properties of parse and print."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,18 @@ from conftest import gr
         ("[x, y, z]]", "expected 'end', found ']'", 9),
         ("[x + , y, z]", "expected a value, found ','", 5),
         ("[x, y; z]", "unexpected character ';'", 5),
+        pytest.param(
+            "[" + "9" * (sys.get_int_max_str_digits() + 1) + ", y, z]",
+            f"numeral longer than {sys.get_int_max_str_digits()} digits",
+            1,
+            id="numeral-past-int-string-limit",
+        ),
+        pytest.param(
+            "[x^" + "1" * (sys.get_int_max_str_digits() + 1) + ", y, z]",
+            "exponent too large",
+            2,
+            id="exponent-past-int-string-limit",
+        ),
     ],
 )
 def test_parse_error_message_and_position(text, message, position):

@@ -35,6 +35,18 @@ def var(v, t=24):
     return MSeries.variable(v, t)
 
 
+def _terms(lo, hi, max_size):
+    """Term dicts on the monomials of total degree lo..hi."""
+    monos = [
+        (i, j, d - i - j) for d in range(lo, hi + 1) for i in range(d + 1) for j in range(d + 1 - i)
+    ]
+    return st.dictionaries(st.sampled_from(monos), _gauss, max_size=max_size)
+
+
+_point = st.tuples(_gauss, _gauss, _gauss)
+_subs = st.tuples(*[_terms(1, 2, 3)] * 3)
+
+
 class TestMul:
     def test_difference_of_squares(self):
         x, y = var("x"), var("y")
@@ -99,6 +111,33 @@ class TestSubstitute:
             lhs = s.substitute(A).substitute(B)
             rhs = s.substitute(ab)
             assert lhs.eq_trusted(rhs)
+
+
+class TestSubstitutionProperties:
+    # degree <= 3 composed with substitutes of degree <= 2: ledger 6 cuts nothing
+    @given(s=_terms(0, 3, 6), subs=_subs, p=_point)
+    def test_substitute_evaluates_as_composition(self, s, subs, p):
+        s = MSeries(s, 6)
+        subs = [MSeries(d, 6) for d in subs]
+        out = s.substitute(subs)
+        assert out.trunc == 6
+        assert out.eval_exact(p) == s.eval_exact(tuple(c.eval_exact(p) for c in subs))
+
+    @given(s=_terms(0, 3, 6), subs=_subs, ledgers=st.tuples(*[st.integers(0, 6)] * 4))
+    def test_lower_ledgers_cut_the_full_composition(self, s, subs, ledgers):
+        full = MSeries(s, 6).substitute([MSeries(d, 6) for d in subs])
+        low = MSeries(s, ledgers[0]).substitute(
+            [MSeries(d, t) for d, t in zip(subs, ledgers[1:])]
+        )
+        assert low.trunc == min(ledgers)
+        assert low.terms == full.retrunc(low.trunc).terms
+
+    @given(s=_terms(0, 4, 8), c=_point, p=_point)
+    def test_shift_origin_evaluates_as_translation(self, s, c, p):
+        s = MSeries(s, 4)
+        moved = s.shift_origin(c)
+        assert moved.trunc == 4
+        assert moved.eval_exact(p) == s.eval_exact(tuple(a + b for a, b in zip(p, c)))
 
 
 class TestDivideByVariable:
@@ -280,8 +319,13 @@ def test_operations_do_not_mutate_inputs():
     _ = a * b
     _ = a + b
     _ = a.substitute((MSeries.variable("x", 10), MSeries.variable("y", 10), MSeries.variable("z", 10)))
+    subs = rand_zero_const_triple(rng, 10)
+    snap_subs = [dict(c.terms) for c in subs]
+    _ = a.substitute(subs)
+    _ = a.shift_origin((gr(1), gr(-2), gr(0, 1)))
     _ = a.partial("x")
     assert a.terms == snap_a and b.terms == snap_b
+    assert [c.terms for c in subs] == snap_subs
     u = useries([0, 1, 2, 3], 8)
     snap_u = u.coeffs
     _ = u * u
