@@ -10,6 +10,8 @@ Each transform computes the chain-rule pullback exactly, factors out the
 largest power of the divisor coordinate, and reports that exponent together
 with the dicriticalness of the divisor (not invariant iff the divisor
 component of the factored field is not divisible by the divisor coordinate).
+The point and curve blow-ups share one pullback, which reads the variables
+it rescales from ``ChartMap.rescaled``; the weight-2 one has its own formula.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotInNormalForm,
     RegularPoint,
 )
-from .series import MSeries, var_index
+from .series import VARS, MSeries, var_index
 from .vfield import (
     REGULAR,
     VectorField,
@@ -50,9 +52,15 @@ class ChartMap:
     divisor_var: str
     center_axis: str | None = None
 
-    def describe(self) -> str:
-        from .series import VARS
+    @property
+    def rescaled(self) -> tuple:
+        """Indices of the variables the chart multiplies by the divisor."""
+        di = var_index(self.divisor_var)
+        return tuple(
+            vi for vi in range(3) if vi != di and self.substitution[vi][di] > 0
+        )
 
+    def describe(self) -> str:
         pieces = []
         for v, mono in zip(VARS, self.substitution):
             image = "*".join(
@@ -73,8 +81,6 @@ def point_chart(divisor) -> ChartMap:
             mono[di] += 1
         monos.append(tuple(mono))
     kind = (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z)[di]
-    from .series import VARS
-
     return ChartMap(kind, tuple(monos), VARS[di])
 
 
@@ -85,8 +91,6 @@ def curve_chart(center_axis, divisor) -> ChartMap:
     one kept as the exceptional coordinate, and the remaining transverse
     variable gets rescaled by it.
     """
-    from .series import VARS
-
     ai = var_index(center_axis)
     di = var_index(divisor)
     if di == ai:
@@ -132,23 +136,26 @@ def _finish(chart: ChartMap, raw: VectorField) -> BlowupResult:
     return BlowupResult(chart, rep, e, dicritical, raw)
 
 
+def _pullback(field: VectorField, chart: ChartMap) -> BlowupResult:
+    """Chain-rule pullback in a chart sending v to v * divisor for each v in
+    ``chart.rescaled``: every component is composed with the chart, and each
+    rescaled one becomes (F_v - v F_divisor) / divisor."""
+    t = field.trunc
+    di = var_index(chart.divisor_var)
+    out = [c.substitute_monomials(chart.substitution) for c in field.components]
+    for vi in chart.rescaled:
+        scaled = MSeries.variable(vi, t) * out[di]
+        out[vi] = (out[vi] - scaled).divide_by_variable(chart.divisor_var)
+    return _finish(chart, VectorField(*out))
+
+
 def point_blowup(field: VectorField, chart: ChartMap) -> BlowupResult:
     """One-point blow-up at the origin, computed in the given affine chart."""
     if chart.kind not in (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z):
         raise ValueError("point_blowup needs a point chart")
     if classify(field).tag == REGULAR:
         raise RegularPoint("refusing to blow up a regular point")
-    t = field.trunc
-    di = var_index(chart.divisor_var)
-    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
-    out = []
-    for vi in range(3):
-        if vi == di:
-            out.append(composed[vi])
-        else:
-            scaled = MSeries.variable(("x", "y", "z")[vi], t) * composed[di]
-            out.append((composed[vi] - scaled).divide_by_variable(chart.divisor_var))
-    return _finish(chart, VectorField(*out))
+    return _pullback(field, chart)
 
 
 def curve_blowup(field: VectorField, chart: ChartMap) -> BlowupResult:
@@ -163,16 +170,7 @@ def curve_blowup(field: VectorField, chart: ChartMap) -> BlowupResult:
                 raise CenterNotInvariantOrNotSingular(
                     f"component does not vanish on the {chart.center_axis}-axis"
                 )
-    t = field.trunc
-    di = var_index(chart.divisor_var)
-    scaled = next(i for i in transverse if i != di)
-    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
-    out = [None, None, None]
-    out[ai] = composed[ai]
-    out[di] = composed[di]
-    rescale = MSeries.variable(("x", "y", "z")[scaled], t) * composed[di]
-    out[scaled] = (composed[scaled] - rescale).divide_by_variable(chart.divisor_var)
-    return _finish(chart, VectorField(*out))
+    return _pullback(field, chart)
 
 
 def weight2_blowup(field: VectorField) -> BlowupResult:

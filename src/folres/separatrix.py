@@ -33,6 +33,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .blowup import WEIGHT2
 from .errors import (
     CurveMissesCenter,
     DivisionObstructed,
@@ -43,7 +44,7 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve
+from .series import INFINITE, MSeries, USeries, compose_curve, var_index
 from .vfield import PolyMap, VectorField, conjugate
 
 
@@ -453,17 +454,8 @@ def _solve_two_by_two(row_a, row_b, degree: int):
 
 
 def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
-    """Strict-transform parameterization of the curve in the given chart."""
-    from .blowup import (
-        CURVE_CHART_FIRST,
-        CURVE_CHART_SECOND,
-        POINT_CHART_X,
-        POINT_CHART_Y,
-        POINT_CHART_Z,
-        WEIGHT2,
-    )
-    from .series import var_index
-
+    """Strict-transform parameterization of the curve in the given chart:
+    the components of the rescaled variables are divided by the divisor one."""
     comps = list(phi.components)
     for c in comps:
         if c.coeffs[0]:
@@ -484,23 +476,12 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
             USeries(a2, new_t), USeries(b2, new_t), USeries.identity(new_t),
             graph_over_z=True, parameter_power=phi.parameter_power * 2,
         )
-    if chart.kind in (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z):
-        # every component but the divisor one is divided by it
-        di = var_index(chart.divisor_var)
-        divided = [i for i in range(3) if i != di]
-    elif chart.kind in (CURVE_CHART_FIRST, CURVE_CHART_SECOND):
-        # only the component neither on the center axis nor the divisor
-        di = var_index(chart.divisor_var)
-        ai = var_index(chart.center_axis)
-        divided = [next(i for i in range(3) if i not in (ai, di))]
-    else:
-        raise ValueError(f"unknown chart kind {chart.kind}")
-    div = comps[di]
+    div = comps[var_index(chart.divisor_var)]
     dval = div.valuation()
     if dval == INFINITE:
         raise DivisionObstructed("divisor component vanishes at this precision")
     out = list(comps)
-    for i in divided:
+    for i in chart.rescaled:
         if comps[i].valuation() < dval:
             raise DivisionObstructed("curve tangent direction lies outside this chart")
         out[i] = comps[i].divide(div)

@@ -21,8 +21,10 @@ Coefficients above the ledger are never stored.  ``valuation`` returns
 must read that as "at least trunc + 1".
 
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
-product and ``substitute_terms`` the one substitution, behind both
-``MSeries.substitute`` (the shears) and ``MSeries.shift_origin``.
+product and ``substitute_terms`` the one substitution, behind
+``MSeries.substitute`` (the shears), ``MSeries.shift_origin`` and
+``compose_curve``, which reads each curve component as a series in x alone.
+``convolve`` is the dense product of ``USeries``.
 """
 
 from __future__ import annotations
@@ -368,9 +370,6 @@ class MSeries:
         t = min(self.trunc, other.trunc)
         return MSeries(mul_terms(self.terms, other.terms, t), t)
 
-    def pow(self, n: int) -> "MSeries":
-        return MSeries(pow_terms(self.terms, n, self.trunc), self.trunc)
-
     # -- derivations and divisions ---------------------------------------------------
 
     def partial(self, v) -> "MSeries":
@@ -564,52 +563,22 @@ def format_mseries(s: MSeries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compose_curve(s: MSeries, phi, cap: int | None = None) -> USeries:
+def compose_curve(s: MSeries, phi) -> USeries:
     """s(phi1(T), phi2(T), phi3(T)) as a USeries.
 
-    Each phi component needs a zero constant term.  The ledger is the minimum
-    of s.trunc, the component ledgers, and the optional cap.
+    Each phi component needs a zero constant term and is read as a term dict
+    in x alone, so the composition is ``substitute_terms``.  The ledger is the
+    minimum of s.trunc and the component ledgers.
     """
     phi = tuple(phi)
     for p in phi:
         if p.coeffs[0]:
             raise NonzeroConstantTerm("curve does not pass through the origin")
     t = min([s.trunc] + [p.trunc for p in phi])
-    if cap is not None:
-        t = min(t, cap)
-    bases = [list(p.coeffs[: t + 1]) + [ZERO] * (t + 1 - len(p.coeffs)) for p in phi]
-
-    one = [ONE] + [ZERO] * t
-    pows = [{0: one}, {0: one}, {0: one}]
-
-    def power(vi: int, e: int):
-        cache = pows[vi]
-        if e not in cache:
-            cache[e] = convolve(power(vi, e - 1), bases[vi], t)
-        return cache[e]
-
-    third_is_param = bases[2][1] == ONE and all(
-        not c for n, c in enumerate(bases[2]) if n != 1
-    )
+    subs = [{(n, 0, 0): c for n, c in enumerate(p.coeffs[: t + 1]) if c} for p in phi]
     out = [ZERO] * (t + 1)
-    xy_cache: dict[tuple, list] = {}
-    for (i, j, k), c in s.terms.items():
-        if i + j + k > t:
-            continue
-        xy = xy_cache.get((i, j))
-        if xy is None:
-            xy = convolve(power(0, i), power(1, j), t) if i and j else power(0, i) if i else power(1, j)
-            xy_cache[(i, j)] = xy
-        if third_is_param:
-            for n in range(t + 1 - k):
-                v = xy[n]
-                if v:
-                    out[n + k] = out[n + k] + c * v
-        else:
-            full = convolve(xy, power(2, k), t) if k else xy
-            for n, v in enumerate(full):
-                if v:
-                    out[n] = out[n] + c * v
+    for (n, _, _), c in substitute_terms(s.terms, subs, t).items():
+        out[n] = c
     return USeries(out, t)
 
 

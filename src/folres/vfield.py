@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import AllZero, NonInvertibleLinearPart, NotAUnit
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, VARS
+from .series import INFINITE, MSeries, VARS, var_index
 
 
 class VectorField:
@@ -145,8 +145,6 @@ def order_wrt_curve(field: VectorField, axis="z") -> int:
 
 def _permute_axis_last(field: VectorField, axis):
     """Components reordered and variables renamed so the axis becomes z."""
-    from .series import var_index
-
     ai = var_index(axis)
     if ai == 2:
         return field.components

@@ -258,6 +258,29 @@ class TestWeight2TimeformExponent:
                 assert along.valuation() == 2 * n + 2 * k - 1
 
 
+@pytest.mark.parametrize(
+    "chart, rescaled",
+    [
+        pytest.param(point_chart(d), r, id=f"point-{d}")
+        for d, r in [("x", (1, 2)), ("y", (0, 2)), ("z", (0, 1))]
+    ]
+    # the (center axis, divisor) pairs `folres blowup --center curve` builds
+    + [
+        pytest.param(curve_chart(a, d), r, id=f"curve-{a}-{d}")
+        for a, d, r in [
+            ("x", "y", (2,)),
+            ("x", "z", (1,)),
+            ("y", "x", (2,)),
+            ("y", "z", (0,)),
+            ("z", "x", (1,)),
+            ("z", "y", (0,)),
+        ]
+    ],
+)
+def test_chart_rescaled_variables(chart, rescaled):
+    assert chart.rescaled == rescaled
+
+
 class TestCurveChartGluing:
     def test_first_and_second_curve_charts_agree_on_overlap(self):
         # center {y=z=0}: chart (x, vz, z) and chart (x, y, wy) describe the

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folres.blowup import point_blowup, point_chart, weight2_chart
+from folres.blowup import curve_blowup, curve_chart, point_blowup, point_chart, weight2_chart
 from folres.errors import (
     NotASeparatrix,
     NotGraphParameterizable,
@@ -304,6 +304,20 @@ class TestTransformCurve:
         assert out.phi1.valuation() == 4
         assert out.phi2.valuation() == 1
         assert out.phi2.coeffs[1] == gr(3)
+
+    @pytest.mark.parametrize(
+        "blowup, chart",
+        [(curve_blowup, curve_chart("x", "z")), (point_blowup, point_chart("z"))],
+        ids=["curve_chart_x_z", "point_chart_z"],
+    )
+    def test_strict_transform_is_invariant(self, blowup, chart):
+        # the separatrix of [y - z, x*z, z^3], moved into the chart and
+        # recentred, is a separatrix of the transformed field through the ledger
+        X = parse_field("[y - z, x*z, z^3]", 24)
+        curve, point = transform_curve(solve_graph_separatrix(X, 23), chart).recenter()
+        moved = blowup(X, chart).vf.shift_origin(point)
+        report = invariance_residual(moved, curve)
+        assert (report.order, report.ledger) == (21, 21)
 
 
 class TestStraighten:

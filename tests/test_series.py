@@ -45,6 +45,20 @@ def _terms(lo, hi, max_size):
 
 _point = st.tuples(_gauss, _gauss, _gauss)
 _subs = st.tuples(*[_terms(1, 2, 3)] * 3)
+_curve = st.lists(_gauss, max_size=6)
+
+
+def _compose_reference(s, phi):
+    """Sum of c * phi1^i * phi2^j * phi3^k, with dense ``USeries`` products."""
+    t = min([s.trunc] + [p.trunc for p in phi])
+    acc = USeries.zero(t)
+    for (i, j, k), c in s.terms.items():
+        term = USeries([c], t)
+        for p, e in zip(phi, (i, j, k)):
+            for _ in range(e):
+                term = term * p
+        acc = acc + term
+    return acc
 
 
 class TestMul:
@@ -138,6 +152,41 @@ class TestSubstitutionProperties:
         moved = s.shift_origin(c)
         assert moved.trunc == 4
         assert moved.eval_exact(p) == s.eval_exact(tuple(a + b for a, b in zip(p, c)))
+
+
+class TestComposeCurveProperties:
+    # s of degree <= 3 along curves of degree <= 6: ledger 6
+    @given(s=_terms(0, 3, 6), a=_curve, b=_curve)
+    def test_graph_curve(self, s, a, b):
+        s = MSeries(s, 6)
+        phi = (USeries([ZERO] + a, 6), USeries([ZERO] + b, 6), USeries.identity(6))
+        out = compose_curve(s, phi)
+        assert out.trunc == 6
+        assert out.coeffs == _compose_reference(s, phi).coeffs
+
+    @given(s=_terms(0, 3, 6), comps=st.tuples(_curve, _curve, _curve))
+    def test_general_curve(self, s, comps):
+        s = MSeries(s, 6)
+        phi = [USeries([ZERO] + c, 6) for c in comps]
+        assert compose_curve(s, phi).coeffs == _compose_reference(s, phi).coeffs
+
+    @given(
+        s=_terms(0, 3, 6),
+        comps=st.tuples(_curve, _curve, _curve),
+        ledgers=st.tuples(*[st.integers(0, 6)] * 4),
+    )
+    def test_ledger_is_the_minimum(self, s, comps, ledgers):
+        s = MSeries(s, ledgers[0])
+        phi = [USeries([ZERO] + c, t) for c, t in zip(comps, ledgers[1:])]
+        out = compose_curve(s, phi)
+        assert out.trunc == min(ledgers)
+        assert out.coeffs == _compose_reference(s, phi).coeffs
+
+    def test_rejects_constant_terms(self):
+        t = 8
+        phi = (USeries.identity(t), useries([1, 1], t), USeries.zero(t))
+        with pytest.raises(NonzeroConstantTerm):
+            compose_curve(var("y", t), phi)
 
 
 class TestDivideByVariable:
