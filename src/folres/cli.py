@@ -7,9 +7,11 @@ command emits one deterministic JSON document (compact by default,
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
 --alpha, --beta or --turns that is not a rational number, an unreadable
-separatrix file, a field whose ledger pins no degree of a graph separatrix,
-a coefficient too long to print under Python's int-string limit, and an
---out file that cannot be written), 4 precision exhausted.
+separatrix file or one whose x_of_z and y_of_z lists are empty or of unequal
+length, a separatrix that is not invariant, a field whose ledger pins no
+degree of a graph separatrix, a coefficient too long to print under Python's
+int-string limit, and an --out file that cannot be written), 4 precision
+exhausted.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from .parsing import parse_field, parse_series
 from .scalars import GaussianRational
 from .series import USeries, format_mseries
 from .blowup import curve_chart, point_blowup, point_chart, curve_blowup, weight2_blowup
-from .separatrix import FormalCurve, invariance_residual, solve_graph_separatrix
+from .separatrix import (
+    FormalCurve,
+    _curve_image,
+    _residual,
+    _shift_image,
+    solve_graph_separatrix,
+)
 from .vfield import (
     LinearPart,
     VectorField,
@@ -133,7 +141,14 @@ def _load_curve(args, field: VectorField) -> FormalCurve:
             data = json.load(fh)
         coeffs_a = [_load_scalar(c) for c in data["x_of_z"]]
         coeffs_b = [_load_scalar(c) for c in data["y_of_z"]]
-        ledger = max(len(coeffs_a), len(coeffs_b)) - 1
+        for key, coeffs in (("x_of_z", coeffs_a), ("y_of_z", coeffs_b)):
+            if not coeffs:
+                raise ValueError(f"{key} is empty")
+        if len(coeffs_a) != len(coeffs_b):
+            raise ValueError(
+                f"x_of_z has {len(coeffs_a)} coefficients and y_of_z has {len(coeffs_b)}"
+            )
+        ledger = len(coeffs_a) - 1
         return FormalCurve.graph(USeries(coeffs_a, ledger), USeries(coeffs_b, ledger))
     except (OSError, KeyError, TypeError, ValueError, ParseError) as exc:
         raise FolresError(f"cannot load the separatrix file: {exc}") from exc
@@ -150,13 +165,17 @@ def _load_scalar(c) -> GaussianRational:
 def cmd_resolve(args) -> dict:
     field = parse_field(args.field, args.trunc)
     curve = _load_curve(args, field)
-    residual = invariance_residual(field, curve)
+    # one composition serves the residual check and the driver's first step:
+    # the field is z^k rep and the curve a graph, so X o phi = T^k (rep o phi)
+    k, rep = factor_divisor(field, "z")
+    image = _curve_image(rep, curve)
+    residual = _residual(*_shift_image(image, k, min(field.trunc, curve.ledger)))
     if not residual.full:
         raise FolresError(
             f"separatrix residual vanishes only through degree {residual.order}"
         )
     trace = rs.resolve_along(
-        field, curve, args.max_steps, stop_on_match=not args.no_match_stop
+        field, curve, args.max_steps, stop_on_match=not args.no_match_stop, _image=image
     )
     steps = []
     for s in trace.steps:

@@ -192,6 +192,8 @@ def resolve_along(
     max_steps: int,
     detect_degree: int = 24,
     stop_on_match: bool = False,
+    *,
+    _image=None,
 ) -> ResolutionTrace:
     """Follow the separatrix through one-point blow-ups.
 
@@ -208,19 +210,21 @@ def resolve_along(
     factor-divisor representative along the carried curve once, reads the
     multiplicity from that image, and hands image and curve to
     `detect_persistent_normal_form`, which certifies the curve instead of
-    solving the separatrix again.
+    solving the separatrix again.  A caller that has already composed the
+    factor-divisor representative of `field` along `phi` passes that image
+    as `_image`, and the first step reads it.
     """
     steps = []
     current = field
     curve = phi
     chart = point_chart("z")
 
-    def record(chart_kind, divisor_exponent):
+    def record(chart_kind, divisor_exponent, image=None):
         cls = classify(current)
-        mult = image = None
+        mult = None
         if cls.tag != REGULAR:
             try:
-                image = _curve_image(factor_divisor(current, "z")[1], curve)
+                image = image or _curve_image(factor_divisor(current, "z")[1], curve)
                 mult = _multiplicity(*image)
             except FolresError:
                 pass
@@ -245,7 +249,7 @@ def resolve_along(
         )
         return cls, report
 
-    cls, report = record(None, 0)
+    cls, report = record(None, 0, _image)
     matched = report is not None
     for remaining in range(max_steps, -1, -1):
         if cls.tag in (REGULAR, ELEMENTARY):

@@ -111,7 +111,8 @@ class GaussianRational:
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
         d, e = self._d, other._d
         if d == e:
             if d == 1:
@@ -125,7 +126,8 @@ class GaussianRational:
         return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
         d, e = self._d, other._d
         if d == e:
             if d == 1:
@@ -137,7 +139,8 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not b and not e:  # real fast path
@@ -147,7 +150,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not e:

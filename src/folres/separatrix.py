@@ -2,13 +2,14 @@
 curve transforms under blow-up, and coordinate straightening.
 
 A formal curve is a triple of parameter series (phi1, phi2, phi3).  The
-invariance equations of a field (F, G, H) along phi are the two cross
+invariance equations of a field X = (X1, X2, X3) along phi are the two cross
 residuals
 
-    phi1' (G o phi) - phi2' (F o phi)     and     phi2' (H o phi) - phi3' (G o phi),
+    phi_p' (X_j o phi) - phi_j' (X_p o phi),     j != p,
 
-and the multiplicity along an invariant curve is the parameter-order of the
-scalar series g with X o phi = g phi'.
+where the pivot p is the phi' component of least valuation, the last one on
+a tie (phi3' = 1 on a graph curve), and the multiplicity along an invariant
+curve is the parameter-order of the scalar series g with X o phi = g phi'.
 
 ``solve_graph_separatrix`` looks for a curve (x(z), y(z), z).  Writing the
 invariance as x'(z) (H o phi) = F o phi and y'(z) (H o phi) = G o phi, the
@@ -21,8 +22,10 @@ inconsistency as an obstruction.
 A solve keeps one composer for all its degrees.  Coefficient m of
 S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
 computes power entries and composed coefficients on demand and memoizes
-them; once (x_d, y_d) is set it is reopened at d, which drops only the
-entries of index >= d, and the verification reads the same composer.  This
+them with the indices of their nonzero entries; once (x_d, y_d) is set it is
+reopened at d, which drops only the entries that x_d and y_d reach, and the
+verification reads the same composer.  The products x'(z) (S o phi) walk
+the smaller of the two supports.  This
 is the online order of relaxed multiplication (van der Hoeven, "Relax, but
 don't be too lazy", J. Symb. Comp. 2002).
 """
@@ -30,7 +33,6 @@ don't be too lazy", J. Symb. Comp. 2002).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .blowup import WEIGHT2
@@ -129,14 +131,35 @@ def _curve_image(field: VectorField, phi: FormalCurve):
     return images, [c.derivative() for c in phi.components]
 
 
+def _shift_image(image, k: int, t: int):
+    """The image of X = z^k rep along a graph curve from that of rep.
+
+    On a graph curve phi3 = T, so X o phi = T^k (rep o phi); the images are
+    shifted up by k and cut to ledger t, which must not exceed their ledger
+    plus k.  phi' is unchanged.
+    """
+    images, derivs = image
+    shifted = [
+        USeries([ZERO] * k + list(im.coeffs), im.trunc + k).retrunc(t) for im in images
+    ]
+    return shifted, derivs
+
+
 def invariance_residual(field: VectorField, phi: FormalCurve) -> ResidualReport:
     """Order of trusted vanishing of the two invariance residuals."""
     return _residual(*_curve_image(field, phi))
 
 
+def _pivot(vals) -> int:
+    """The phi' component of least valuation, the last one on a tie."""
+    return min(range(3), key=lambda i: (vals[i], -i))
+
+
 def _residual(images, derivs) -> ResidualReport:
-    r1 = derivs[0] * images[1] - derivs[1] * images[0]
-    r2 = derivs[1] * images[2] - derivs[2] * images[1]
+    """Both minors phi_p' (X_j o phi) - phi_j' (X_p o phi) through the pivot p
+    of `_multiplicity`, so no component of X o phi goes unchecked."""
+    p = _pivot([d.valuation() for d in derivs])
+    r1, r2 = (derivs[p] * images[j] - derivs[j] * images[p] for j in range(3) if j != p)
     ledger = min(r1.trunc, r2.trunc)
     order = ledger
     for m in range(ledger + 1):
@@ -161,7 +184,7 @@ def _multiplicity(images, derivs) -> int:
     if all(im.is_zero() for im in images):
         raise ZeroAlongCurve("field vanishes along the curve at this precision")
     vals = [d.valuation() for d in derivs]
-    pivot = min(range(3), key=lambda i: (vals[i], -i))
+    pivot = _pivot(vals)
     if vals[pivot] == INFINITE:
         raise NotASeparatrix("curve is constant at this precision")
     if images[pivot].valuation() < vals[pivot]:
@@ -213,11 +236,15 @@ class _Composer:
     prefixes; each power row is a pair (row, nz) whose nz lists the indices
     of the row's nonzero entries in increasing order.  The solver hands over
     a and b with their nz lists, and appends d to them when it writes a
-    nonzero a[d] or b[d].  The composed coefficients are memoized in one list
-    per tag, indexed by m, with None for an entry not yet computed.  After
-    the solver writes a[d] and b[d] it calls ``reopen(d)``, which drops every
-    entry of index >= d from the power rows, their nz lists and the memo;
-    the entries below d are final.
+    nonzero a[d] or b[d].  Each composed series S o phi is kept the same way,
+    as a row filled in order with its nz list, in ``memo`` under its tag.
+    After the solver writes a[d] and b[d] it calls ``reopen(d)``, which drops
+    every entry of index >= d from the power rows and their nz lists; the
+    entries below d are final.  As a and b have no constant term, a[d] and
+    b[d] reach entry m of S o phi only when m >= d + lag, lag the least
+    i + j + k - 1 over the terms x^i y^j z^k of S with i + j >= 1, so
+    ``reopen(d)`` cuts the composed row and its nz list at d + lag.  A
+    series with no such term gets lag = cap, and its row is never cut.
     """
 
     def __init__(self, a, nz_a, b, nz_b, cap: int):
@@ -225,7 +252,8 @@ class _Composer:
         # a^0 and a^1 are the unit and the coefficient list itself
         self.a_pows = [unit, (a, nz_a)]
         self.b_pows = [unit, (b, nz_b)]
-        self.memo = defaultdict(list)
+        self.cap = cap
+        self.memo = {}  # tag -> (row, nz, lag)
 
     @staticmethod
     def _power(pows, e: int, s: int):
@@ -243,46 +271,60 @@ class _Composer:
         return pows[e]
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
-        done = self.memo[tag]
-        if m < len(done):
-            if done[m] is not None:
-                return done[m]
-        else:
-            done.extend([None] * (m + 1 - len(done)))
-        acc = ZERO
-        for (i, j, k), c in series.terms.items():
-            if k > m:
-                continue
-            r = m - k
-            pa, na = self._power(self.a_pows, i, r)
-            pb, nb = self._power(self.b_pows, j, r)
-            # walk the smaller of the two supports
-            conv = (
-                _product_coeff(pa, na, pb.__getitem__, r)
-                if len(na) <= len(nb)
-                else _product_coeff(pb, nb, pa.__getitem__, r)
-            )
-            if conv:
-                acc = acc + c * conv
-        done[m] = acc
-        return acc
+        """Coefficient m >= 0 of series o phi; the row of `tag` is filled
+        through m."""
+        memo = self.memo.get(tag)
+        if memo is None:
+            lag = min((sum(e) - 1 for e in series.terms if e[0] or e[1]), default=self.cap)
+            memo = self.memo[tag] = ([], [], lag)
+        row, nz, _ = memo
+        if m < len(row):
+            return row[m]
+        for t in range(len(row), m + 1):
+            acc = ZERO
+            for (i, j, k), c in series.terms.items():
+                if k > t:
+                    continue
+                r = t - k
+                pa, na = self._power(self.a_pows, i, r)
+                pb, nb = self._power(self.b_pows, j, r)
+                # walk the smaller of the two supports
+                conv = (
+                    _product_coeff(pa, na, pb.__getitem__, r)
+                    if len(na) <= len(nb)
+                    else _product_coeff(pb, nb, pa.__getitem__, r)
+                )
+                if conv:
+                    acc = acc + c * conv
+            row.append(acc)
+            if acc:
+                nz.append(t)
+        return row[m]
 
     def reopen(self, d: int) -> None:
-        """Forget every entry of index >= d, after a[d] and b[d] were set."""
-        for pows in (self.a_pows, self.b_pows):
-            for row, nz in pows[2:]:
+        """Forget every entry that a[d] and b[d] reach, after they were set."""
+        for pows in (self.a_pows[2:], self.b_pows[2:]):
+            for row, nz in pows:
                 del row[d:]
                 del nz[bisect_left(nz, d):]
-        for done in self.memo.values():
-            del done[d:]
+        for row, nz, lag in self.memo.values():
+            del row[d + lag:]
+            del nz[bisect_left(nz, d + lag):]
 
 
 def _deriv_conv(deriv, nz, comp: _Composer, series, q: int, tag) -> GaussianRational:
     """Coefficient q of a' * (series o phi), deriv holding the coefficients of
-    a' and nz the indices of its nonzero entries."""
-    if not series.terms:
+    a' and nz the indices of its nonzero entries.  Only entries of
+    series o phi through q - nz[0] meet a nonzero entry of a', so the row is
+    filled that far; the walk takes the smaller of the two supports (on
+    X_lambda, H o phi is one monomial)."""
+    if not nz or q < nz[0] or not series.terms:
         return ZERO
-    return _product_coeff(deriv, nz, lambda m: comp.coeff(series, m, tag), q)
+    comp.coeff(series, q - nz[0], tag)
+    row, row_nz, _ = comp.memo[tag]
+    if len(row_nz) <= len(nz):
+        return _product_coeff(row, row_nz, deriv.__getitem__, q)
+    return _product_coeff(deriv, nz, row.__getitem__, q)
 
 
 @dataclass

@@ -160,7 +160,10 @@ class USeries:
     def __init__(self, coeffs, trunc: int):
         if trunc < 0:
             raise ValueError("trunc must be non-negative")
-        cs = [_coerce_scalar(c) for c in coeffs[: trunc + 1]]
+        cs = [
+            c if type(c) is GaussianRational else _coerce_scalar(c)
+            for c in coeffs[: trunc + 1]
+        ]
         cs.extend(ZERO for _ in range(trunc + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.trunc = trunc

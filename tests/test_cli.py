@@ -252,6 +252,70 @@ def test_malformed_separatrix_file_exit_code(tmp_path, capsys, coeffs):
     assert json.loads(out)["message"].startswith("cannot load the separatrix file")
 
 
+@pytest.mark.parametrize(
+    "x_of_z, y_of_z, message",
+    [
+        ([], ["0", "0"], "x_of_z is empty"),
+        (["0", "0"], [], "y_of_z is empty"),
+        (["0", "0", "0"], ["0", "0"], "x_of_z has 3 coefficients and y_of_z has 2"),
+    ],
+    ids=["empty-x", "empty-y", "unequal"],
+)
+def test_separatrix_file_list_lengths_exit_code(tmp_path, capsys, x_of_z, y_of_z, message):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"x_of_z": x_of_z, "y_of_z": y_of_z}))
+    code, out = run_cli(
+        ["resolve", "[y, x*z, z^3]", "--separatrix", "file", "--separatrix-file", str(path)],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["message"] == f"cannot load the separatrix file: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, separatrix",
+    [("[z, 0, 0]", "axis"), ("[y - z, x*z, z^3]", "file")],
+    ids=["x-component-along-axis", "zero-file-curve"],
+)
+def test_resolve_rejects_a_curve_that_is_not_invariant(tmp_path, capsys, field, separatrix):
+    # on the z-axis phi1' = phi2' = 0, so only the minors through phi3'
+    # see X1 o phi; both fields have X1 o phi = T
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"x_of_z": ["0", "0", "0"], "y_of_z": ["0", "0", "0"]}))
+    code, out = run_cli(
+        ["resolve", field, "--trunc", "8", "--separatrix", separatrix, "--separatrix-file", str(path)],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["message"].startswith("separatrix residual vanishes only")
+
+
+@pytest.mark.parametrize(
+    "argv, compositions",
+    [
+        (["resolve", "[y - z, x*z, z^3]", "--trunc", "24"], 9),
+        (EXACT_CASES["resolve_divisor_k1"], 3),
+    ],
+    ids=["xlambda-three-steps", "divisor-k1-one-step"],
+)
+def test_resolve_composes_each_step_image_once(argv, compositions, capsys, monkeypatch):
+    # the residual check and the driver's first step share one image, three
+    # compositions per step (one per field component) and none besides
+    import folres.separatrix as sx
+
+    original = sx.compose_curve
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sx, "compose_curve", counted)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == 3 * len(json.loads(out)["steps"]) == compositions
+
+
 @pytest.mark.parametrize("trunc", ["-1", "1025"])
 def test_negative_trunc_exit_code(trunc, capsys):
     code, out = run_cli(["classify", "[x, y, z]", "--trunc", trunc], capsys)

@@ -12,19 +12,29 @@ from folres.errors import (
     ZeroAlongCurve,
 )
 from folres.parsing import parse_field
-from folres.scalars import ZERO
-from folres.series import MSeries, USeries, compose_curve
+from folres.scalars import ONE, ZERO
+from folres.series import MSeries, USeries, compose_curve, convolve
 from folres.separatrix import (
     FormalCurve,
     _Composer,
+    _curve_image,
+    _deriv_conv,
     _product_coeff,
+    _residual,
+    _shift_image,
     invariance_residual,
     multiplicity,
     solve_graph_separatrix,
     straighten,
     transform_curve,
 )
-from folres.vfield import PolyMap, VectorField, conjugate, nilpotent_normal_form_full
+from folres.vfield import (
+    PolyMap,
+    VectorField,
+    conjugate,
+    factor_divisor,
+    nilpotent_normal_form_full,
+)
 
 from conftest import (
     field_degenerate_family,
@@ -69,6 +79,42 @@ class TestInvarianceResidual:
         assert not rep.full
         assert rep.order == 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(0, 2),
+        ledger=st.integers(1, 20),
+        perturb=st.booleans(),
+    )
+    def test_shifted_representative_image_gives_the_field_residual(
+        self, seed, k, ledger, perturb
+    ):
+        # X = z^k rep along a graph curve: the solved separatrix cut to a
+        # random ledger (random coefficients past degree 14), optionally
+        # perturbed at one degree; T^k (rep o phi) cut to
+        # min(field.trunc, curve.ledger) is X o phi and gives its residual
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 16)
+        field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, k), 16))
+        solved = solve_graph_separatrix(X, 14)
+        comps = [
+            list(c.coeffs[: ledger + 1]) + [rand_scalar(rng) for _ in range(ledger - 14)]
+            for c in (solved.phi1, solved.phi2)
+        ]
+        if perturb:
+            comps[rng.randrange(2)][rng.randint(1, ledger)] += rand_scalar(rng) or ONE
+        curve = FormalCurve.graph(USeries(comps[0], ledger), USeries(comps[1], ledger))
+        e, rep = factor_divisor(field, "z")
+        assert e == k
+        images, derivs = _shift_image(
+            _curve_image(rep, curve), k, min(field.trunc, curve.ledger)
+        )
+        direct, _ = _curve_image(field, curve)
+        assert [(im.coeffs, im.trunc) for im in images] == [
+            (im.coeffs, im.trunc) for im in direct
+        ]
+        assert _residual(images, derivs) == invariance_residual(field, curve)
+
 
 class TestMultiplicity:
     def test_axis_against_normal_form(self):
@@ -93,11 +139,13 @@ class TestMultiplicity:
             multiplicity(X, FormalCurve.z_axis(9))
 
     def test_cross_check_rejects_fake_invariance(self):
-        # x-axis satisfies the two displayed equations trivially (phi2' = 0,
-        # G o phi = 0) without being invariant; the cross-check catches it
+        # the x-axis satisfies phi1'(G o phi) - phi2'(F o phi) = 0 and
+        # phi2'(H o phi) - phi3'(G o phi) = 0 trivially (phi2' = phi3' = 0,
+        # G o phi = 0) without being invariant; the minors through the pivot
+        # phi1' see H o phi = T^2, and so does the cross-check
         X = vf({(4, 0, 0): 1, (0, 0, 1): 1}, {}, {(2, 0, 0): 1}, 10)
         curve = FormalCurve(USeries.identity(9), USeries.zero(9), USeries.zero(9))
-        assert invariance_residual(X, curve).full
+        assert not invariance_residual(X, curve).full
         with pytest.raises(NotASeparatrix):
             multiplicity(X, curve)
 
@@ -264,6 +312,61 @@ class TestSparseSupports:
             for pows in (comp.a_pows, comp.b_pows):
                 for row, nz in pows:
                     assert nz == [i for i, c in enumerate(row) if c]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_composed_rows_and_deriv_conv_follow_reopen(self, seed):
+        # the composed rows S o phi fill in order and are cut by reopen like
+        # the power rows, reopening at a random earlier point included; each
+        # (row, nz) pair and each coefficient of a' (S o phi) equals a dense
+        # reference built with convolve alone.  The last series is one
+        # monomial in z, as H o phi is on X_lambda.
+        rng = random.Random(seed)
+        cap = 10
+        a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
+        da = [ZERO] * (cap + 1)
+        nz_a, nz_b, nz_da = [], [], []
+        comp = _Composer(a, nz_a, b, nz_b, cap)
+        series = [rand_mseries(rng, cap, maxdeg=4, terms=6) for _ in range(2)]
+        series.append(MSeries.monomial(rand_scalar(rng) or ONE, (0, 0, rng.randint(0, 3)), cap))
+        d = 1
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.3 and d <= cap:
+                for row, nz in ((a, nz_a), (b, nz_b)):
+                    row[d] = rand_scalar(rng) if rng.random() < 0.6 else ZERO
+                    if row[d]:
+                        nz.append(d)
+                da[d - 1] = a[d] * d
+                if da[d - 1]:
+                    nz_da.append(d - 1)
+                comp.reopen(d)
+                d += 1
+            elif op < 0.45:
+                comp.reopen(rng.randint(0, d))
+            else:
+                tag = rng.randrange(len(series))
+                q = rng.randint(-1, cap)
+                dense = _dense_composition(series[tag], a, b, cap)
+                expect = convolve(da, dense, q)[q] if q >= 0 else ZERO
+                assert _deriv_conv(da, nz_da, comp, series[tag], q, tag) == expect
+            for tag, (row, nz, _) in comp.memo.items():
+                assert row == _dense_composition(series[tag], a, b, cap)[: len(row)]
+                assert nz == [i for i, c in enumerate(row) if c]
+
+
+def _dense_composition(s: MSeries, a, b, t: int) -> list:
+    """Coefficients 0..t of s(a(z), b(z), z), powers built with convolve."""
+    out = [ZERO] * (t + 1)
+    for (i, j, k), c in s.terms.items():
+        p = [ONE] + [ZERO] * t
+        for base, e in ((a, i), (b, j)):
+            for _ in range(e):
+                p = convolve(p, base, t)
+        for n in range(t + 1 - k):
+            out[n + k] = out[n + k] + c * p[n]
+    return out
 
 
 class TestTransformCurve:
