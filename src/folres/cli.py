@@ -128,11 +128,11 @@ def cmd_blowup(args) -> dict:
     }
 
 
-def _load_curve(args, field: VectorField) -> FormalCurve:
+def _load_curve(args, field: VectorField, rep: VectorField) -> FormalCurve:
+    """The curve of --separatrix; rep is the field with z^k factored out."""
     if args.separatrix == "axis":
         return FormalCurve.z_axis(max(field.trunc - 1, 1))
     if args.separatrix == "solve":
-        _, rep = factor_divisor(field, "z")
         return solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
     if not args.separatrix_file:
         raise FolresError("--separatrix file requires --separatrix-file PATH")
@@ -164,10 +164,10 @@ def _load_scalar(c) -> GaussianRational:
 
 def cmd_resolve(args) -> dict:
     field = parse_field(args.field, args.trunc)
-    curve = _load_curve(args, field)
+    k, rep = factor_divisor(field, "z")
+    curve = _load_curve(args, field, rep)
     # one composition serves the residual check and the driver's first step:
     # the field is z^k rep and the curve a graph, so X o phi = T^k (rep o phi)
-    k, rep = factor_divisor(field, "z")
     image = _curve_image(rep, curve)
     residual = _residual(*_shift_image(image, k, min(field.trunc, curve.ledger)))
     if not residual.full:

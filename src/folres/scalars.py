@@ -140,6 +140,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
+            if type(other) is int:
+                return _reduced(self._a * other, self._b * other, self._d)
             other = GaussianRational.coerce(other)
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d

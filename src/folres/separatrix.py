@@ -21,13 +21,13 @@ inconsistency as an obstruction.
 
 A solve keeps one composer for all its degrees.  Coefficient m of
 S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
-computes power entries and composed coefficients on demand and memoizes
-them with the indices of their nonzero entries; once (x_d, y_d) is set it is
-reopened at d, which drops only the entries that x_d and y_d reach, and the
-verification reads the same composer.  The products x'(z) (S o phi) walk
-the smaller of the two supports.  This
-is the online order of relaxed multiplication (van der Hoeven, "Relax, but
-don't be too lazy", J. Symb. Comp. 2002).
+computes the rows of x^i y^j and the composed coefficients on demand and
+memoizes them with the indices of their nonzero entries; once (x_d, y_d) is
+set it is reopened at d, which drops only the entries that x_d and y_d
+reach, and the verification reads the same composer.  The products
+x'(z) (S o phi) walk the smaller of the two supports.  This is the online
+order of relaxed multiplication (van der Hoeven, "Relax, but don't be too
+lazy", J. Symb. Comp. 2002).
 """
 
 from __future__ import annotations
@@ -231,20 +231,27 @@ class _Composer:
     """Coefficients of S o (a(z), b(z), z), kept across the degrees of a solve.
 
     Coefficient m of the composition depends only on a[0..m] and b[0..m],
-    and entry s of a power of a (or b) only on a[0..s] (or b[0..s]).  Power
-    entries are computed one coefficient at a time, on demand, as memoized
-    prefixes; each power row is a pair (row, nz) whose nz lists the indices
-    of the row's nonzero entries in increasing order.  The solver hands over
-    a and b with their nz lists, and appends d to them when it writes a
-    nonzero a[d] or b[d].  Each composed series S o phi is kept the same way,
-    as a row filled in order with its nz list, in ``memo`` under its tag.
-    After the solver writes a[d] and b[d] it calls ``reopen(d)``, which drops
-    every entry of index >= d from the power rows and their nz lists; the
-    entries below d are final.  As a and b have no constant term, a[d] and
-    b[d] reach entry m of S o phi only when m >= d + lag, lag the least
-    i + j + k - 1 over the terms x^i y^j z^k of S with i + j >= 1, so
-    ``reopen(d)`` cuts the composed row and its nz list at d + lag.  A
-    series with no such term gets lag = cap, and its row is never cut.
+    and entry s of a^i b^j only on a[0..s] and b[0..s].  The terms of each
+    tagged series are grouped once by their (i, j) exponents: the z^k-only
+    terms form a table, so coefficient t reads its constant part directly,
+    and every other group reads one row, the power row of a^i (j = 0) or
+    b^j (i = 0), or the product row of a^i b^j (i, j >= 1).  Each row is a
+    pair (row, nz) whose nz lists the indices of the row's nonzero entries
+    in increasing order, filled one coefficient at a time, on demand, as a
+    memoized prefix; a power row by walking the support of the previous
+    power, a product row by walking the smaller of the supports of a^i and
+    b^j.  A coefficient equal to ONE is added without a product.  The
+    solver hands over a and b with their nz lists, and appends d to them
+    when it writes a nonzero a[d] or b[d].  Each composed series S o phi is
+    kept the same way, as a row filled in order with its nz list, in
+    ``memo`` under its tag.  After the solver writes a[d] and b[d] it calls
+    ``reopen(d)``, which drops every entry of index >= d from the power and
+    product rows and their nz lists; the entries below d are final.  As a
+    and b have no constant term, a[d] and b[d] reach entry m of S o phi only
+    when m >= d + lag, lag the least i + j + k - 1 over the terms x^i y^j z^k
+    of S with i + j >= 1, so ``reopen(d)`` cuts the composed row and its nz
+    list at d + lag.  A series with no such term gets lag = cap, and its row
+    is never cut.
     """
 
     def __init__(self, a, nz_a, b, nz_b, cap: int):
@@ -252,8 +259,10 @@ class _Composer:
         # a^0 and a^1 are the unit and the coefficient list itself
         self.a_pows = [unit, (a, nz_a)]
         self.b_pows = [unit, (b, nz_b)]
+        self.prods = {}  # (i, j) -> (row, nz) of a^i b^j, i, j >= 1
         self.cap = cap
         self.memo = {}  # tag -> (row, nz, lag)
+        self.groups = {}  # tag -> (z^k-only table, [(i, j, [(k, c or None)])])
 
     @staticmethod
     def _power(pows, e: int, s: int):
@@ -270,32 +279,68 @@ class _Composer:
                     nz.append(t)
         return pows[e]
 
+    def _row(self, i: int, j: int, s: int):
+        """The row of a^i b^j (i + j >= 1), entries 0..s computed."""
+        if not j:
+            return self._power(self.a_pows, i, s)[0]
+        if not i:
+            return self._power(self.b_pows, j, s)[0]
+        pair = self.prods.get((i, j))
+        if pair is None:
+            pair = self.prods[(i, j)] = ([], [])
+        row, nz = pair
+        if len(row) <= s:
+            pa, na = self._power(self.a_pows, i, s)
+            pb, nb = self._power(self.b_pows, j, s)
+            # walk the smaller of the two supports
+            if len(nb) < len(na):
+                pa, na, pb = pb, nb, pa
+            get = pb.__getitem__
+            for t in range(len(row), s + 1):
+                c = _product_coeff(pa, na, get, t)
+                row.append(c)
+                if c:
+                    nz.append(t)
+        return row
+
+    def _group(self, series: MSeries, tag):
+        """Group the terms of series by (i, j) and open the row of `tag`."""
+        consts, groups = {}, {}
+        for (i, j, k), c in series.terms.items():
+            if i or j:
+                groups.setdefault((i, j), []).append((k, None if c == ONE else c))
+            else:
+                consts[k] = c
+        lag = min(
+            (i + j + k - 1 for (i, j), ks in groups.items() for k, _ in ks),
+            default=self.cap,
+        )
+        self.groups[tag] = (
+            consts, [(i, j, sorted(ks, key=lambda kc: kc[0])) for (i, j), ks in groups.items()]
+        )
+        memo = self.memo[tag] = ([], [], lag)
+        return memo
+
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
         """Coefficient m >= 0 of series o phi; the row of `tag` is filled
         through m."""
-        memo = self.memo.get(tag)
-        if memo is None:
-            lag = min((sum(e) - 1 for e in series.terms if e[0] or e[1]), default=self.cap)
-            memo = self.memo[tag] = ([], [], lag)
+        memo = self.memo.get(tag) or self._group(series, tag)
         row, nz, _ = memo
-        if m < len(row):
+        start = len(row)
+        if m < start:
             return row[m]
-        for t in range(len(row), m + 1):
-            acc = ZERO
-            for (i, j, k), c in series.terms.items():
-                if k > t:
-                    continue
-                r = t - k
-                pa, na = self._power(self.a_pows, i, r)
-                pb, nb = self._power(self.b_pows, j, r)
-                # walk the smaller of the two supports
-                conv = (
-                    _product_coeff(pa, na, pb.__getitem__, r)
-                    if len(na) <= len(nb)
-                    else _product_coeff(pb, nb, pa.__getitem__, r)
-                )
-                if conv:
-                    acc = acc + c * conv
+        consts, groups = self.groups[tag]
+        # each group's row is read up to m - (its least k)
+        rows = [(self._row(i, j, m - ks[0][0]), ks) for i, j, ks in groups if ks[0][0] <= m]
+        for t in range(start, m + 1):
+            acc = consts.get(t, ZERO)
+            for pr, ks in rows:
+                for k, c in ks:
+                    if k > t:
+                        break
+                    w = pr[t - k]
+                    if w:
+                        acc = acc + (w if c is None else c * w)
             row.append(acc)
             if acc:
                 nz.append(t)
@@ -303,8 +348,8 @@ class _Composer:
 
     def reopen(self, d: int) -> None:
         """Forget every entry that a[d] and b[d] reach, after they were set."""
-        for pows in (self.a_pows[2:], self.b_pows[2:]):
-            for row, nz in pows:
+        for rows in (self.a_pows[2:], self.b_pows[2:], self.prods.values()):
+            for row, nz in rows:
                 del row[d:]
                 del nz[bisect_left(nz, d):]
         for row, nz, lag in self.memo.values():

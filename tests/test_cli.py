@@ -316,6 +316,30 @@ def test_resolve_composes_each_step_image_once(argv, compositions, capsys, monke
     assert len(calls) == 3 * len(json.loads(out)["steps"]) == compositions
 
 
+def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
+    # the solved curve and the residual check read one factor-divisor
+    # representative of the input field.  Every z^k factoring is counted:
+    # the input field once, each of the two later steps' images once, and
+    # each of the three steps once inside detect; the blow-ups' chart
+    # division, a different field, is not
+    import folres.cli
+    import folres.resolve
+    import folres.vfield
+
+    original = folres.vfield.factor_divisor
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (folres.cli, folres.resolve, folres.vfield):
+        monkeypatch.setattr(module, "factor_divisor", counted)
+    code, _ = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
+    assert code == 0
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("trunc", ["-1", "1025"])
 def test_negative_trunc_exit_code(trunc, capsys):
     code, out = run_cli(["classify", "[x, y, z]", "--trunc", trunc], capsys)

@@ -141,3 +141,23 @@ def test_coercion_agrees_with_constructor(n, q):
         c = GaussianRational.coerce(value)
         assert c == GaussianRational(value) and hash(c) == hash(GaussianRational(value))
         assert _parts(c) == (Fraction(value), 0)
+
+
+_ints = st.one_of(
+    st.just(0),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64 + 1, 2**130),
+    st.integers(-(2**130), -(2**64) - 1),
+)
+
+
+@given(_pairs, _ints)
+def test_product_with_an_int_agrees_with_the_scalar_product(x, n):
+    # an int operand takes its own path, which must give the same canonical
+    # triple as the product with the coerced scalar, on either side
+    a = GaussianRational(*x)
+    expect = a * GaussianRational(n)
+    for got in (a * n, n * a):
+        assert type(got) is GaussianRational
+        assert (got._a, got._b, got._d) == (expect._a, expect._b, expect._d)
+        assert _parts(got) == (x[0] * n, x[1] * n)

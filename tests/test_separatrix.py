@@ -280,13 +280,15 @@ class TestSparseSupports:
         # the solver's protocol: write a[d], b[d], append d to the support of
         # a nonzero entry, reopen at d; reopening at an earlier point only
         # forgets entries.  Every support stays the nonzero indices of its row
-        # and every coefficient equals the dense composition.
+        # and every coefficient equals the dense composition.  The series
+        # group several z^k under one x^i y^j with i, j >= 1 and carry a
+        # coefficient of exactly 1, so product rows are built and cut.
         rng = random.Random(seed)
         cap = 10
         a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
         nz_a, nz_b = [], []
         comp = _Composer(a, nz_a, b, nz_b, cap)
-        series = [rand_mseries(rng, cap, maxdeg=4, terms=6) for _ in range(2)]
+        series = [_grouped_series(rng, cap) for _ in range(2)]
         d = 1
         for _ in range(40):
             op = rng.random()
@@ -312,6 +314,12 @@ class TestSparseSupports:
             for pows in (comp.a_pows, comp.b_pows):
                 for row, nz in pows:
                     assert nz == [i for i, c in enumerate(row) if c]
+            for (i, j), (row, nz) in comp.prods.items():
+                assert i >= 1 and j >= 1
+                assert nz == [n for n, c in enumerate(row) if c]
+                product = MSeries.monomial(ONE, (i, j, 0), cap)
+                assert row == _dense_composition(product, a, b, cap)[: len(row)]
+        assert comp.prods, "no x^i y^j row was built"
 
 
     @settings(max_examples=60, deadline=None)
@@ -354,6 +362,18 @@ class TestSparseSupports:
             for tag, (row, nz, _) in comp.memo.items():
                 assert row == _dense_composition(series[tag], a, b, cap)[: len(row)]
                 assert nz == [i for i, c in enumerate(row) if c]
+
+
+def _grouped_series(rng, cap: int) -> MSeries:
+    """A random series with a z^k-only part, several z^k under one x^i y^j
+    (i, j >= 1) and a term x^i y^j z^k (i + j >= 1) with coefficient 1."""
+    terms = dict(rand_mseries(rng, cap, maxdeg=4, terms=6).terms)
+    i, j = rng.randint(1, 2), rng.randint(1, 2)
+    for k in rng.sample(range(4), 3):
+        terms[(i, j, k)] = rand_scalar(rng) or ONE
+    terms[(0, 0, rng.randint(0, 3))] = rand_scalar(rng) or ONE
+    terms[(rng.randint(0, 2), rng.randint(1, 2), rng.randint(0, 2))] = ONE
+    return MSeries(terms, cap)
 
 
 def _dense_composition(s: MSeries, a, b, t: int) -> list:
