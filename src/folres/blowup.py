@@ -10,13 +10,14 @@ Each transform computes the chain-rule pullback exactly, factors out the
 largest power of the divisor coordinate, and reports that exponent together
 with the dicriticalness of the divisor (not invariant iff the divisor
 component of the factored field is not divisible by the divisor coordinate).
-The point and curve blow-ups share one pullback, which reads the variables
-it rescales from ``ChartMap.rescaled``; the weight-2 one has its own formula.
+All three share one weighted pullback, which reads the divisor weight from
+the chart and the variables it rescales from ``ChartMap.rescaled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     CenterNotInvariantOrNotSingular,
@@ -39,8 +40,6 @@ POINT_CHART_Z = "point_chart_z"
 CURVE_CHART_FIRST = "curve_chart_first"
 CURVE_CHART_SECOND = "curve_chart_second"
 WEIGHT2 = "weight2"
-
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,19 @@ class ChartMap:
         return ", ".join(pieces)
 
 
+def _chart(kind, di, weights, center_axis=None) -> ChartMap:
+    """Chart sending each variable v to v * d^w_v and the divisor d to d^w_d,
+    with d the variable of index `di` and w the `weights` triple."""
+    substitution = tuple(
+        tuple(weights[vi] if i == di else int(i == vi) for i in range(3))
+        for vi in range(3)
+    )
+    return ChartMap(kind, substitution, VARS[di], center_axis)
+
+
 def point_chart(divisor) -> ChartMap:
     di = var_index(divisor)
-    monos = []
-    for vi in range(3):
-        mono = list(_UNIT[vi])
-        if vi != di:
-            mono[di] += 1
-        monos.append(tuple(mono))
-    kind = (POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z)[di]
-    return ChartMap(kind, tuple(monos), VARS[di])
+    return _chart((POINT_CHART_X, POINT_CHART_Y, POINT_CHART_Z)[di], di, (1, 1, 1))
 
 
 def curve_chart(center_axis, divisor) -> ChartMap:
@@ -95,19 +97,13 @@ def curve_chart(center_axis, divisor) -> ChartMap:
     di = var_index(divisor)
     if di == ai:
         raise ValueError("divisor must be transverse to the center axis")
-    scaled = next(i for i in range(3) if i not in (ai, di))
-    monos = []
-    for vi in range(3):
-        mono = list(_UNIT[vi])
-        if vi == scaled:
-            mono[di] += 1
-        monos.append(tuple(mono))
     kind = CURVE_CHART_FIRST if di == 2 else CURVE_CHART_SECOND
-    return ChartMap(kind, tuple(monos), VARS[di], VARS[ai])
+    weights = tuple(int(vi != ai) for vi in range(3))
+    return _chart(kind, di, weights, VARS[ai])
 
 
 def weight2_chart() -> ChartMap:
-    return ChartMap(WEIGHT2, ((1, 0, 0), (0, 1, 1), (0, 0, 2)), "z")
+    return _chart(WEIGHT2, 2, (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -137,15 +133,19 @@ def _finish(chart: ChartMap, raw: VectorField) -> BlowupResult:
 
 
 def _pullback(field: VectorField, chart: ChartMap) -> BlowupResult:
-    """Chain-rule pullback in a chart sending v to v * divisor for each v in
-    ``chart.rescaled``: every component is composed with the chart, and each
-    rescaled one becomes (F_v - v F_divisor) / divisor."""
+    """Chain-rule pullback in a chart sending the divisor d to d^w and each v
+    in ``chart.rescaled`` to v * d: every component is composed with the
+    chart, the divisor one becomes F_d / (w d^(w-1)), and each rescaled one
+    (F_v - v F'_d) / d with F'_d that divisor component."""
     t = field.trunc
     di = var_index(chart.divisor_var)
+    w = chart.substitution[di][di]
     out = [c.substitute_monomials(chart.substitution) for c in field.components]
+    if w > 1:
+        out[di] = out[di].divide_by_variable(di, w - 1).scale(Fraction(1, w))
     for vi in chart.rescaled:
         scaled = MSeries.variable(vi, t) * out[di]
-        out[vi] = (out[vi] - scaled).divide_by_variable(chart.divisor_var)
+        out[vi] = (out[vi] - scaled).divide_by_variable(di)
     return _finish(chart, VectorField(*out))
 
 
@@ -183,17 +183,7 @@ def weight2_blowup(field: VectorField) -> BlowupResult:
     parts, reason = nilpotent_normal_form_full(field)
     if parts is None:
         raise NotInNormalForm(reason or "not in nilpotent normal form")
-    chart = weight2_chart()
-    t = field.trunc
-    composed = [c.substitute_monomials(chart.substitution) for c in field.components]
-    half = MSeries.constant("1/2", t)
-    y = MSeries.variable("y", t)
-    z = MSeries.variable("z", t)
     try:
-        comp_x = composed[0]
-        comp_z = (composed[2] * half).divide_by_variable("z")
-        numerator = z * composed[1] - (y * composed[2]) * half
-        comp_y = numerator.divide_by_variable("z").divide_by_variable("z")
+        return _pullback(field, weight2_chart())
     except NotDivisible as exc:
         raise NotInNormalForm(f"weight-2 pullback is not holomorphic: {exc}") from exc
-    return _finish(chart, VectorField(comp_x, comp_y, comp_z))

@@ -283,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "fields on (C^3, 0)",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="compact JSON (default)")
     common.add_argument("--pretty", action="store_true", help="indented JSON")
     common.add_argument("--out", metavar="FILE", help="write the report to FILE")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -259,9 +259,12 @@ def resolve_along(
         if not remaining or (report is not None and stop_on_match):
             break
         if current.trunc < 3 or curve.ledger < 2:
-            raise PrecisionExhausted(
-                "truncation ledger too small for another blow-up step"
+            short = (
+                f"field trunc needs 3, has {current.trunc}"
+                if current.trunc < 3
+                else f"curve ledger needs 2, has {curve.ledger}"
             )
+            raise PrecisionExhausted(f"blow-up step {len(steps)}: {short}")
         result = point_blowup(current, chart)
         moved = transform_curve(curve, chart)
         recentered, consts = moved.recenter()

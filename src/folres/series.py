@@ -12,7 +12,7 @@ trusted.  Operations propagate the ledger pessimistically:
 * sums and products keep ``min`` of the input ledgers,
 * substitution by series with zero constant term keeps the ``min`` ledger,
   and a shift of the origin keeps its own, reading the terms as exact,
-* division by a variable lowers the ledger by one,
+* division by v^e lowers the ledger by e,
 * differentiation lowers the ledger by one,
 * inversion of a unit keeps the ledger.
 
@@ -389,19 +389,20 @@ class MSeries:
                 out[tuple(nm)] = c * e
         return MSeries(out, self.trunc - 1)
 
-    def divide_by_variable(self, v) -> "MSeries":
-        """Exact division by a coordinate; ledger drops by one."""
+    def divide_by_variable(self, v, e: int = 1) -> "MSeries":
+        """Exact division by v^e; ledger drops by e."""
         vi = var_index(v)
+        divisor = VARS[vi] if e == 1 else f"{VARS[vi]}^{e}"
         out = {}
         for m, c in self.terms.items():
-            if m[vi] == 0:
-                raise NotDivisible(VARS[vi], _mono_str(m))
+            if m[vi] < e:
+                raise NotDivisible(divisor, _mono_str(m))
             nm = list(m)
-            nm[vi] -= 1
+            nm[vi] -= e
             out[tuple(nm)] = c
-        if self.trunc == 0:
-            raise NotDivisible(VARS[vi], "ledger exhausted")
-        return MSeries(out, self.trunc - 1)
+        if self.trunc < e:
+            raise NotDivisible(divisor, "ledger exhausted")
+        return MSeries(out, self.trunc - e)
 
     def variable_multiplicity(self, v) -> int:
         """Largest e with v^e dividing every trusted term (0 for the zero series)."""

@@ -162,16 +162,11 @@ def _permute_axis_last(field: VectorField, axis):
 
 def factor_divisor(field: VectorField, v) -> tuple[int, VectorField]:
     """Largest e with v^e dividing every component, plus the quotient field."""
-    mults = [
-        c.variable_multiplicity(v) for c in field.components if not c.is_zero()
-    ]
-    if not mults:
-        return 0, field
-    e = min(mults)
-    out = field
-    for _ in range(e):
-        out = out.map(lambda s: s.divide_by_variable(v))
-    return e, out
+    e = min(
+        (c.variable_multiplicity(v) for c in field.components if not c.is_zero()),
+        default=0,
+    )
+    return e, field.map(lambda s: s.divide_by_variable(v, e)) if e else field
 
 
 class PolyMap:
@@ -301,9 +296,7 @@ def nilpotent_normal_form_full(field: VectorField):
     n = h.variable_multiplicity("z")
     if h.is_zero() or n < 2:
         return None, "third component is not z^n with n >= 2 times a unit"
-    unit = h
-    for _ in range(n):
-        unit = unit.divide_by_variable("z")
+    unit = h.divide_by_variable("z", n)
     if not unit.constant_term():
         return None, "third component is not z^n times a unit"
     try:

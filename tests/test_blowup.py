@@ -16,7 +16,7 @@ from folres.errors import (
     RegularPoint,
 )
 from folres.scalars import GaussianRational, ZERO
-from folres.series import MSeries
+from folres.series import VARS, MSeries
 from folres.vfield import (
     NILPOTENT_NONZERO,
     LinearPart,
@@ -38,6 +38,23 @@ def normal_form_field(rng, trunc, n, lam=1):
     z = MSeries.variable("z", trunc)
     y = MSeries.variable("y", trunc)
     return VectorField(y + z * f, z * g, MSeries.monomial(1, (0, 0, n), trunc))
+
+
+def assert_chain_rule(X, r):
+    """D(phi) . raw == X o phi within the trusted ledger.  The chart map phi
+    and its Jacobian are built here as monomial series from the chart's
+    exponent triples, and X o phi by the general substitution."""
+    t = X.trunc
+    subst = r.chart.substitution
+    phi = [MSeries.monomial(1, mono, t) for mono in subst]
+    for mono, comp in zip(subst, X.components):
+        pushed = MSeries.zero(t)
+        for u, raw in enumerate(r.raw.components):
+            if mono[u]:
+                lowered = tuple(e - (i == u) for i, e in enumerate(mono))
+                pushed = pushed + MSeries.monomial(mono[u], lowered, t) * raw
+        assert pushed.trunc >= t - 2
+        assert pushed.eq_trusted(comp.substitute(phi))
 
 
 class TestPointBlowup:
@@ -214,6 +231,16 @@ class TestWeight2:
         assert r.vf.fz.eq_trusted(MSeries({(0, 0, 4): gr("1/2")}, t))
         assert r.divisor_exponent == 1
 
+    def test_chain_rule(self):
+        # z^k times a random normal form, k = 0, 1
+        rng = random.Random(29)
+        for _ in range(20):
+            n, k = rng.choice([2, 3]), rng.choice([0, 1])
+            lam = rng.choice([1, -2, gr(1, 1)])
+            divisor = MSeries.monomial(1, (0, 0, k), 16)
+            X = normal_form_field(rng, 16, n, lam=lam).map(lambda s: divisor * s)
+            assert_chain_rule(X, weight2_blowup(X))
+
     def test_not_in_normal_form(self):
         with pytest.raises(NotInNormalForm):
             weight2_blowup(vf({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}))
@@ -279,6 +306,41 @@ class TestWeight2TimeformExponent:
 )
 def test_chart_rescaled_variables(chart, rescaled):
     assert chart.rescaled == rescaled
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [pytest.param(point_chart(d), id=f"point-{d}") for d in "xyz"]
+    + [
+        pytest.param(curve_chart(a, d), id=f"curve-{a}-{d}")
+        for a, d in [("x", "y"), ("x", "z"), ("y", "x"), ("y", "z"), ("z", "x"), ("z", "y")]
+    ],
+)
+def test_chain_rule_in_every_chart(chart):
+    # random fields vanishing on the center: the origin for a point chart,
+    # the center axis for a curve chart
+    rng = random.Random(chart.describe())
+    axis = chart.center_axis
+    transverse = [i for i in range(3) if axis is None or VARS[i] != axis]
+    done = 0
+    while done < 15:
+        comps = [
+            MSeries(
+                {
+                    m: c
+                    for m, c in rand_mseries(rng, 10, val=1, maxdeg=3, terms=5).terms.items()
+                    if any(m[i] for i in transverse)
+                },
+                10,
+            )
+            for _ in range(3)
+        ]
+        X = VectorField(*comps)
+        if X.is_zero():
+            continue
+        blowup = curve_blowup if axis else point_blowup
+        assert_chain_rule(X, blowup(X, chart))
+        done += 1
 
 
 class TestCurveChartGluing:

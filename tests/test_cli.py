@@ -33,6 +33,7 @@ EXACT_CASES = {
     "blowup_radial_point_chart_z": [
         "blowup", "[x, y, z]", "--center", "point", "--chart", "z",
     ],
+    "blowup_weight2_divisor_k1": ["blowup", "[y*z, x*z^2, z^3]", "--weight", "2"],
     "resolve_xlambda": ["resolve", "[y - z, x*z, z^3]"],
     "resolve_family_01": ["resolve", "[y - x*z, x*z, z^2]"],
     "resolve_family_00": ["resolve", "[y, x*z, z^2]"],
@@ -138,6 +139,14 @@ def test_weight2_error_exit_code(capsys):
     code, out = run_cli(["blowup", "[x, y, z]", "--weight", "2"], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "NotInNormalForm"
+
+
+def test_unknown_flag_exit_code(capsys):
+    # output is compact JSON unless --pretty; there is no --json flag
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "[x, y, z]", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(capsys):
@@ -415,4 +424,7 @@ def test_precision_exhausted_exit_code(capsys):
         ["resolve", "[y - z, x*z, z^3]", "--trunc", "5", "--max-steps", "10"], capsys
     )
     assert code == 4
-    assert json.loads(out)["error"] == "precision_exhausted"
+    assert json.loads(out) == {
+        "error": "precision_exhausted",
+        "message": "blow-up step 4: field trunc needs 3, has 2",
+    }

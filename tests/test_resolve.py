@@ -128,10 +128,16 @@ class TestResolveAlong:
                 assert set(stable) <= {"nilpotent_nonzero"}
 
     def test_precision_exhausted(self):
-        X = field_xlambda(1, trunc=6)
-        curve = solve_graph_separatrix(X, 3)
-        with pytest.raises(PrecisionExhausted):
-            resolve_along(X, curve, 12)
+        # the error names the blow-up step, the ledger that ran out, and the
+        # amount needed against the amount left
+        for trunc, degree, message in [
+            (6, 3, "blow-up step 3: curve ledger needs 2, has 1"),
+            (5, 5, "blow-up step 4: field trunc needs 3, has 2"),
+        ]:
+            X = field_xlambda(1, trunc=trunc)
+            curve = solve_graph_separatrix(X, degree)
+            with pytest.raises(PrecisionExhausted, match=message):
+                resolve_along(X, curve, 12)
 
 
 class TestPersistenceUnderBlowup:
