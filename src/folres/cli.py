@@ -63,14 +63,14 @@ def _curve_json(curve: FormalCurve):
     }
 
 
-def _report_json(report: rs.PersistentReport):
+def _report_json(report: rs.PersistentReport, verdict: str):
     return {
         "n": report.n,
         "lambda": str(report.lam),
         "k": report.k,
         "tangency": report.tangency,
         "separatrix_prefix": _curve_json(report.separatrix_prefix),
-        "verdict": report.verdict,
+        "verdict": verdict,
     }
 
 
@@ -218,8 +218,7 @@ def cmd_resolve(args) -> dict:
                     "beta": str(beta),
                     "is_identity": hol["is_identity"],
                 }
-        report = trace.report.with_verdict(verdict)
-        out["report"] = _report_json(report)
+        out["report"] = _report_json(trace.report, verdict)
         if holonomy is not None:
             out["holonomy"] = holonomy
         out["verdict"] = verdict

@@ -72,12 +72,6 @@ class PersistentReport:
     k: int
     separatrix_prefix: FormalCurve
     tangency: int
-    verdict: str | None = None
-
-    def with_verdict(self, verdict: str) -> "PersistentReport":
-        return PersistentReport(
-            self.n, self.lam, self.k, self.separatrix_prefix, self.tangency, verdict
-        )
 
 
 def detect_persistent_normal_form(
@@ -95,8 +89,7 @@ def detect_persistent_normal_form(
     residual's order nor its ledger.  The graph separatrix is solved only
     when no carried curve passes those checks.
 
-    Raises NoNormalFormMatch naming the first violated condition.  The
-    verdict field is left unset; `semicomplete_obstruction` fills it.
+    Raises NoNormalFormMatch naming the first violated condition.
     """
     parts, reason = nilpotent_normal_form_full(field)
     if parts is None:

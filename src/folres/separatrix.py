@@ -11,13 +11,20 @@ where the pivot p is the phi' component of least valuation, the last one on
 a tie (phi3' = 1 on a graph curve), and the multiplicity along an invariant
 curve is the parameter-order of the scalar series g with X o phi = g phi'.
 
-``solve_graph_separatrix`` looks for a curve (x(z), y(z), z).  Writing the
-invariance as x'(z) (H o phi) = F o phi and y'(z) (H o phi) = G o phi, the
-degree-d coefficient pair (x_d, y_d) enters each residual linearly at a
-field-dependent shift; the solver locates, for each degree, the lowest
-residual coefficients the pair controls, solves that 2x2 system exactly, and
-verifies every skipped residual coefficient, reporting the first
-inconsistency as an obstruction.
+``solve_graph_separatrix`` looks for a curve (x(z), y(z), z).  With
+(x_0, x_1) = (x, y) and (S_0, S_1) = (F, G), residual r is
+x_r'(z) (H o phi) - S_r o phi, and the column of the unknown x_u[d] in its
+degree m is
+
+    [r = u] d (H o phi)_{m-d+1} + (x_r' (d_u H o phi))_{m-d} - (d_u S_r o phi)_{m-d}.
+
+The solver locates, for each degree d, the lowest residual coefficients the
+pair (x_d, y_d) controls, solves that 2x2 system exactly, and verifies every
+skipped residual coefficient, reporting the first inconsistency as an
+obstruction.  The pair enters residual degree m linearly only for
+m < 2d - 1 (m < 2d when H has no linear x or y term); at or above that
+degree the 2x2 solve linearises at x_d = y_d = 0, and its error is reported
+as an obstruction even where a graph separatrix exists.
 
 A solve keeps one composer for all its degrees.  Coefficient m of
 S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
@@ -372,19 +379,6 @@ def _deriv_conv(deriv, nz, comp: _Composer, series, q: int, tag) -> GaussianRati
     return _product_coeff(deriv, nz, row.__getitem__, q)
 
 
-@dataclass
-class _GraphSystem:
-    F: MSeries
-    G: MSeries
-    H: MSeries
-    Fx: MSeries
-    Fy: MSeries
-    Gx: MSeries
-    Gy: MSeries
-    Hx: MSeries
-    Hy: MSeries
-
-
 def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     """Solve for a formal curve (x(z), y(z), z) invariant under the field.
 
@@ -404,86 +398,61 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     cap = field.trunc
     if degree < 1:
         raise ValueError("degree must be positive")
-    sys_ = _GraphSystem(
-        F=F, G=G, H=H,
-        Fx=F.partial("x"), Fy=F.partial("y"),
-        Gx=G.partial("x"), Gy=G.partial("y"),
-        Hx=H.partial("x"), Hy=H.partial("y"),
-    )
-    a = [ZERO] * (cap + 2)
-    b = [ZERO] * (cap + 2)
-    da = [ZERO] * (cap + 1)  # coefficients of x'(z): da[r - 1] = r * a[r]
-    db = [ZERO] * (cap + 1)
-    # the increasing indices of the nonzero entries of a, b, da and db
-    nz_a, nz_b, nz_da, nz_db = [], [], [], []
-    comp = _Composer(a, nz_a, b, nz_b, cap)
+    # row r is x_r'(z) (H o phi) - S_r o phi, with (x_0, x_1) = (x, y) and
+    # (S_0, S_1) = (F, G); unknown u is the pair entry x_u[d]
+    S = ((F, "F"), (G, "G"))
+    dS = tuple(tuple((s.partial(v), tag + v) for v in "xy") for s, tag in S)
+    dH = tuple((H.partial(v), "H" + v) for v in "xy")
+    xs = ([ZERO] * (cap + 2), [ZERO] * (cap + 2))
+    dxs = ([ZERO] * (cap + 1), [ZERO] * (cap + 1))  # dxs[r][k - 1] = k * xs[r][k]
+    # the increasing indices of the nonzero entries of xs and dxs
+    nz_xs, nz_dxs = ([], []), ([], [])
+    comp = _Composer(xs[0], nz_xs[0], xs[1], nz_xs[1], cap)
 
-    def res_a(m):
-        """Degree m of x'(z) (H o phi) - F o phi."""
-        return _deriv_conv(da, nz_da, comp, sys_.H, m, "H") - comp.coeff(sys_.F, m, "F")
+    def residual(r, m):
+        """Degree m of x_r'(z) (H o phi) - S_r o phi."""
+        s, tag = S[r]
+        return _deriv_conv(dxs[r], nz_dxs[r], comp, H, m, "H") - comp.coeff(s, m, tag)
 
-    def res_b(m):
-        """Degree m of y'(z) (H o phi) - G o phi."""
-        return _deriv_conv(db, nz_db, comp, sys_.H, m, "H") - comp.coeff(sys_.G, m, "G")
+    def column(r, u, d, m):
+        """Coefficient of x_u[d] in degree m of residual r, by the column
+        formula of the module docstring."""
+        hu, tag = dH[u]
+        acc = _deriv_conv(dxs[r], nz_dxs[r], comp, hu, m - d, tag)
+        if r == u and m >= d - 1:
+            acc = comp.coeff(H, m - d + 1, "H") * d + acc
+        if m < d:
+            return acc
+        su, tag = dS[r][u]
+        return acc - comp.coeff(su, m - d, tag)
 
-    frontier_a = -1
-    frontier_b = -1
+    frontiers = [-1, -1]
     solved = 0
     for d in range(1, degree + 1):
-
-        def col_a_ra(m):
-            acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(da, nz_da, comp, sys_.Hx, m - d, "Hx")
-            return acc - (comp.coeff(sys_.Fx, m - d, "Fx") if m >= d else ZERO)
-
-        def col_b_ra(m):
-            acc = _deriv_conv(da, nz_da, comp, sys_.Hy, m - d, "Hy")
-            return acc - (comp.coeff(sys_.Fy, m - d, "Fy") if m >= d else ZERO)
-
-        def col_a_rb(m):
-            acc = _deriv_conv(db, nz_db, comp, sys_.Hx, m - d, "Hx")
-            return acc - (comp.coeff(sys_.Gx, m - d, "Gx") if m >= d else ZERO)
-
-        def col_b_rb(m):
-            acc = comp.coeff(sys_.H, m - d + 1, "H") * d if m - d + 1 >= 0 else ZERO
-            acc = acc + _deriv_conv(db, nz_db, comp, sys_.Hy, m - d, "Hy")
-            return acc - (comp.coeff(sys_.Gy, m - d, "Gy") if m >= d else ZERO)
-
-        row_a = _schedule_row(res_a, col_a_ra, col_b_ra, frontier_a, cap, d)
-        row_b = _schedule_row(res_b, col_a_rb, col_b_rb, frontier_b, cap, d)
-        if row_a is None or row_b is None:
+        rows = [_schedule_row(residual, column, r, frontiers[r], cap, d) for r in (0, 1)]
+        if rows[0] is None or rows[1] is None:
             break  # ledger exhausted before both unknowns are pinned
-        A, B = _solve_two_by_two(row_a, row_b, d)
-        a[d], b[d] = A, B
-        da[d - 1], db[d - 1] = A * d, B * d
-        if A:
-            nz_a.append(d)
-            nz_da.append(d - 1)
-        if B:
-            nz_b.append(d)
-            nz_db.append(d - 1)
+        for r, c in enumerate(_solve_two_by_two(*rows, d)):
+            xs[r][d], dxs[r][d - 1] = c, c * d
+            if c:
+                nz_xs[r].append(d)
+                nz_dxs[r].append(d - 1)
         comp.reopen(d)
         # verify every residual coefficient between the old and new frontiers
-        for name, res, lo, hi in (
-            ("first", res_a, frontier_a, row_a[0]),
-            ("second", res_b, frontier_b, row_b[0]),
-        ):
-            for m in range(lo + 1, hi + 1):
-                val = res(m)
+        for r, name in enumerate(("first", "second")):
+            for m in range(frontiers[r] + 1, rows[r][0] + 1):
+                val = residual(r, m)
                 if val:
                     raise Obstructed(
                         d, f"{name} residual has coefficient {val} at degree {m}"
                     )
-        frontier_a = row_a[0]
-        frontier_b = row_b[0]
+        frontiers = [row[0] for row in rows]
         solved = d
     if solved == 0:
         raise NotGraphParameterizable(
             f"no degree of the graph series is pinned within the field ledger {cap}"
         )
-    a_series = USeries(a[: solved + 1], solved)
-    b_series = USeries(b[: solved + 1], solved)
-    return FormalCurve.graph(a_series, b_series)
+    return FormalCurve.graph(*(USeries(x[: solved + 1], solved) for x in xs))
 
 
 def _axis_valuation(H: MSeries):
@@ -491,18 +460,18 @@ def _axis_valuation(H: MSeries):
     return min(vals) if vals else None
 
 
-def _schedule_row(res, col_a, col_b, frontier: int, cap: int, d: int):
-    """Find the lowest residual degree the new pair controls.
+def _schedule_row(residual, column, r: int, frontier: int, cap: int, d: int):
+    """Find the lowest degree of residual r that the new pair controls.
 
     Returns (degree, residual value, A-column, B-column), or None when the
     ledger ends before any controllable degree; a nonzero residual strictly
     below the controllable degree is reported by the caller's verification.
     """
     for m in range(frontier + 1, cap + 1):
-        ca = col_a(m)
-        cb = col_b(m)
+        ca = column(r, 0, d, m)
+        cb = column(r, 1, d, m)
         if ca or cb:
-            return (m, res(m), ca, cb)
+            return (m, residual(r, m), ca, cb)
     return None
 
 

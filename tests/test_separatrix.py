@@ -232,6 +232,34 @@ class TestSolveGraphSeparatrix:
             curve = solve_graph_separatrix(X, 14)
             assert invariance_residual(X, curve).full
 
+    @pytest.mark.parametrize(
+        "h, p, q",
+        [((1, 0), (0, 1), (1, 0)), ((0, 1), (1, 0), (0, 1)), ((2, 1), (1, 1), (-2, 1))],
+    )
+    def test_h_partial_columns(self, h, p, q):
+        # the z-axis of (-x z + y z, x z - 2 y z, z^2 + h1 x z + h2 y z) moved
+        # to (p(z), q(z), z) by conjugation.  F and G have no linear x or y
+        # term, so degree d is pinned by residual degree d + 1, where column
+        # (r, u) carries x_r1 * h_u from d_u H; it cancels against the p', q'
+        # part of d_u S_r only when the partial matches the unknown.  With
+        # h1 p1 + h2 q1 = 0 the degree-1 linearisation is exact at (p1, q1)
+        trunc, degree = 10, 6
+        P = MSeries({(0, 0, 1): p[0], (0, 0, 2): p[1]}, trunc)
+        Q = MSeries({(0, 0, 1): q[0], (0, 0, 2): q[1]}, trunc)
+        Y = vf(
+            {(1, 0, 1): -1, (0, 1, 1): 1},
+            {(1, 0, 1): 1, (0, 1, 1): -2},
+            {(0, 0, 2): 1, (1, 0, 1): h[0], (0, 1, 1): h[1]},
+            trunc,
+        )
+        x, y, z = (MSeries.variable(v, trunc) for v in "xyz")
+        X = conjugate(Y, PolyMap((x - P, y - Q, z)))
+        curve = solve_graph_separatrix(X, degree)
+        assert curve.ledger == degree
+        zeros = [ZERO] * (degree - 2)
+        assert list(curve.phi1.coeffs) == [ZERO, gr(p[0]), gr(p[1])] + zeros
+        assert list(curve.phi2.coeffs) == [ZERO, gr(q[0]), gr(q[1])] + zeros
+
     def test_not_graph_parameterizable(self):
         # axis component vanishing identically on the z-axis
         X = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(1, 0, 0): 1}, 10)
