@@ -7,11 +7,11 @@ command emits one deterministic JSON document (compact by default,
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
 --alpha, --beta or --turns that is not a rational number, an unreadable
-separatrix file or one whose x_of_z and y_of_z lists are empty or of unequal
-length, a separatrix that is not invariant, a field whose ledger pins no
-degree of a graph separatrix, a coefficient too long to print under Python's
-int-string limit, and an --out file that cannot be written), 4 precision
-exhausted.
+separatrix file, one whose x_of_z or y_of_z is not a list, and one whose
+lists are empty or of unequal length, a separatrix that is not invariant, a
+field whose ledger pins no degree of a graph separatrix, a coefficient too
+long to print under Python's int-string limit, and an --out file that cannot
+be written), 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -139,9 +139,13 @@ def _load_curve(args, field: VectorField, rep: VectorField) -> FormalCurve:
     try:
         with open(args.separatrix_file) as fh:
             data = json.load(fh)
-        coeffs_a = [_load_scalar(c) for c in data["x_of_z"]]
-        coeffs_b = [_load_scalar(c) for c in data["y_of_z"]]
-        for key, coeffs in (("x_of_z", coeffs_a), ("y_of_z", coeffs_b)):
+        lists = {}
+        for key in ("x_of_z", "y_of_z"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key} is not a list")
+            lists[key] = [_load_scalar(c) for c in data[key]]
+        coeffs_a, coeffs_b = lists.values()
+        for key, coeffs in lists.items():
             if not coeffs:
                 raise ValueError(f"{key} is empty")
         if len(coeffs_a) != len(coeffs_b):

@@ -183,7 +183,6 @@ def resolve_along(
     field: VectorField,
     phi: FormalCurve,
     max_steps: int,
-    detect_degree: int = 24,
     stop_on_match: bool = False,
     *,
     _image=None,
@@ -224,9 +223,7 @@ def resolve_along(
         report = None
         reason = None
         try:
-            report = detect_persistent_normal_form(
-                current, detect_degree, curve, _image=image
-            )
+            report = detect_persistent_normal_form(current, curve=curve, _image=image)
         except NoNormalFormMatch as exc:
             reason = str(exc)
         steps.append(

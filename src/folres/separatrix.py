@@ -28,13 +28,14 @@ as an obstruction even where a graph separatrix exists.
 
 A solve keeps one composer for all its degrees.  Coefficient m of
 S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
-computes the rows of x^i y^j and the composed coefficients on demand and
-memoizes them with the indices of their nonzero entries; once (x_d, y_d) is
-set it is reopened at d, which drops only the entries that x_d and y_d
-reach, and the verification reads the same composer.  The products
-x'(z) (S o phi) walk the smaller of the two supports.  This is the online
-order of relaxed multiplication (van der Hoeven, "Relax, but don't be too
-lazy", J. Symb. Comp. 2002).
+keeps one table of the rows of x^i y^j, each filled from the one before it
+in the chain x^f = x^(f-1) x, x^i y^g = x^i y^(g-1) y, and computes those
+rows and the composed coefficients on demand, memoized with the indices of
+their nonzero entries; once (x_d, y_d) is set it is reopened at d, which
+drops only the entries that x_d and y_d reach, and the verification reads
+the same composer.  Every product walks the smaller of its two supports.
+This is the online order of relaxed multiplication (van der Hoeven, "Relax,
+but don't be too lazy", J. Symb. Comp. 2002).
 """
 
 from __future__ import annotations
@@ -218,17 +219,16 @@ def _multiplicity(images, derivs) -> int:
 def _product_coeff(u, nz, v, t: int) -> GaussianRational:
     """Coefficient t of the product of two series, one coefficient at a time.
 
-    u is a coefficient list and nz the increasing indices of its nonzero
-    entries, so the walk visits the support of u only and stops past t (the
-    sparse product of Johnson, 1974).  v maps an index to a coefficient and
-    is called only behind the nonzero entries of u, so it may compute its
-    entries on demand.
+    u and v are coefficient lists and nz the increasing indices of the
+    nonzero entries of u, so the walk visits the support of u only and stops
+    past t (the sparse product of Johnson, 1974); v is read only behind the
+    nonzero entries of u.
     """
     acc = ZERO
     for s in nz:
         if s > t:
             break
-        w = v(t - s)
+        w = v[t - s]
         if w:
             acc = acc + u[s] * w
     return acc
@@ -237,110 +237,84 @@ def _product_coeff(u, nz, v, t: int) -> GaussianRational:
 class _Composer:
     """Coefficients of S o (a(z), b(z), z), kept across the degrees of a solve.
 
-    Coefficient m of the composition depends only on a[0..m] and b[0..m],
-    and entry s of a^i b^j only on a[0..s] and b[0..s].  The terms of each
-    tagged series are grouped once by their (i, j) exponents: the z^k-only
-    terms form a table, so coefficient t reads its constant part directly,
-    and every other group reads one row, the power row of a^i (j = 0) or
-    b^j (i = 0), or the product row of a^i b^j (i, j >= 1).  Each row is a
-    pair (row, nz) whose nz lists the indices of the row's nonzero entries
-    in increasing order, filled one coefficient at a time, on demand, as a
-    memoized prefix; a power row by walking the support of the previous
-    power, a product row by walking the smaller of the supports of a^i and
-    b^j.  A coefficient equal to ONE is added without a product.  The
-    solver hands over a and b with their nz lists, and appends d to them
-    when it writes a nonzero a[d] or b[d].  Each composed series S o phi is
-    kept the same way, as a row filled in order with its nz list, in
-    ``memo`` under its tag.  After the solver writes a[d] and b[d] it calls
-    ``reopen(d)``, which drops every entry of index >= d from the power and
-    product rows and their nz lists; the entries below d are final.  As a
-    and b have no constant term, a[d] and b[d] reach entry m of S o phi only
-    when m >= d + lag, lag the least i + j + k - 1 over the terms x^i y^j z^k
-    of S with i + j >= 1, so ``reopen(d)`` cuts the composed row and its nz
-    list at d + lag.  A series with no such term gets lag = cap, and its row
-    is never cut.
+    One table ``rows`` holds every a^i b^j in use, rows[i][j], as a pair
+    (row, nz) whose nz lists the indices of the row's nonzero entries in
+    increasing order: the unit (0, 0), and a (1, 0) and b (0, 1) as the
+    solver hands them over, with the nz lists it appends d to when it writes
+    a nonzero a[d] or b[d].  Every other row is a memoized prefix, filled
+    one coefficient at a time, on demand, from the row before it in the
+    chain a^f = a^(f-1) a, a^i b^g = a^i b^(g-1) b; each product walks the
+    smaller of its two supports.  The terms of each tagged series are
+    grouped once by their (i, j) exponents, and every group reads one row,
+    the z^k-only terms the unit; a coefficient equal to ONE is added without
+    a product.  Each composed series S o phi is kept the same way, a row
+    filled in order with its nz list, in ``memo`` under its tag with its lag
+    and its groups.
+
+    After the solver writes a[d] and b[d] it calls ``reopen(d)``.  As a and
+    b have no constant term, they reach entry s of a^i b^j only when
+    s >= d + i + j - 1, so every row but the unit, a and b is cut there,
+    and the composed row of S at d + lag, lag the least i + j + k - 1 over the terms
+    x^i y^j z^k of S with i + j >= 1; the entries below the cut are final.
+    A series with no such term gets lag = cap, and its row is never cut.
     """
 
     def __init__(self, a, nz_a, b, nz_b, cap: int):
-        unit = ([ONE] + [ZERO] * cap, [0])
-        # a^0 and a^1 are the unit and the coefficient list itself
-        self.a_pows = [unit, (a, nz_a)]
-        self.b_pows = [unit, (b, nz_b)]
-        self.prods = {}  # (i, j) -> (row, nz) of a^i b^j, i, j >= 1
+        # rows[i][j] is the pair (row, nz) of a^i b^j
+        self.rows = [[([ONE] + [ZERO] * cap, [0]), (b, nz_b)], [(a, nz_a)]]
         self.cap = cap
-        self.memo = {}  # tag -> (row, nz, lag)
-        self.groups = {}  # tag -> (z^k-only table, [(i, j, [(k, c or None)])])
-
-    @staticmethod
-    def _power(pows, e: int, s: int):
-        """The pair (row, nz) of base^e (base = pows[1]), entries 0..s computed."""
-        while len(pows) <= e:
-            pows.append(([], []))
-        base = pows[1][0].__getitem__
-        for f in range(2, e + 1):
-            (prev, prev_nz), (row, nz) = pows[f - 1], pows[f]
-            for t in range(len(row), s + 1):
-                c = _product_coeff(prev, prev_nz, base, t)
-                row.append(c)
-                if c:
-                    nz.append(t)
-        return pows[e]
+        self.memo = {}  # tag -> (row, nz, lag, [(i, j, [(k, c or None)])])
 
     def _row(self, i: int, j: int, s: int):
-        """The row of a^i b^j (i + j >= 1), entries 0..s computed."""
-        if not j:
-            return self._power(self.a_pows, i, s)[0]
-        if not i:
-            return self._power(self.b_pows, j, s)[0]
-        pair = self.prods.get((i, j))
-        if pair is None:
-            pair = self.prods[(i, j)] = ([], [])
-        row, nz = pair
-        if len(row) <= s:
-            pa, na = self._power(self.a_pows, i, s)
-            pb, nb = self._power(self.b_pows, j, s)
-            # walk the smaller of the two supports
-            if len(nb) < len(na):
-                pa, na, pb = pb, nb, pa
-            get = pb.__getitem__
-            for t in range(len(row), s + 1):
-                c = _product_coeff(pa, na, get, t)
-                row.append(c)
-                if c:
-                    nz.append(t)
-        return row
+        """The row of a^i b^j, entries 0..s computed.
+
+        The chain a, a^2, ..., a^i, a^i b, ..., a^i b^j is filled in one
+        loop, each row the previous one times a or b, as a recursion would
+        overflow the stack on a chain of a thousand rows (x^990).
+        """
+        rows = self.rows
+        if len(rows[i][j][0]) > s:
+            return rows[i][j][0]
+        a, b = rows[1][0], rows[0][1]
+        prev = rows[0][0]
+        chain = [r[0] for r in rows[1 : i + 1]] + rows[i][1 : j + 1]
+        for pair, base in zip(chain, [a] * i + [b] * j):
+            row, nz = pair
+            if len(row) <= s:
+                (u, nu), v = prev, base[0]
+                if len(base[1]) < len(nu):
+                    (u, nu), v = base, u
+                for t in range(len(row), s + 1):
+                    c = _product_coeff(u, nu, v, t)
+                    row.append(c)
+                    if c:
+                        nz.append(t)
+            prev = pair
+        return prev[0]
 
     def _group(self, series: MSeries, tag):
-        """Group the terms of series by (i, j) and open the row of `tag`."""
-        consts, groups = {}, {}
+        """Group the terms of series by (i, j), open the row of `tag` and
+        the rows of the chains to each a^i b^j."""
+        groups, rows = {}, self.rows
         for (i, j, k), c in series.terms.items():
-            if i or j:
-                groups.setdefault((i, j), []).append((k, None if c == ONE else c))
-            else:
-                consts[k] = c
-        lag = min(
-            (i + j + k - 1 for (i, j), ks in groups.items() for k, _ in ks),
-            default=self.cap,
-        )
-        self.groups[tag] = (
-            consts, [(i, j, sorted(ks, key=lambda kc: kc[0])) for (i, j), ks in groups.items()]
-        )
-        memo = self.memo[tag] = ([], [], lag)
+            groups.setdefault((i, j), []).append((k, None if c == ONE else c))
+            rows.extend([([], [])] for _ in range(i + 1 - len(rows)))
+            rows[i].extend(([], []) for _ in range(j + 1 - len(rows[i])))
+        lag = min((i + j + k - 1 for i, j, k in series.terms if i or j), default=self.cap)
+        memo = self.memo[tag] = ([], [], lag, [(i, j, sorted(ks)) for (i, j), ks in groups.items()])
         return memo
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
         """Coefficient m >= 0 of series o phi; the row of `tag` is filled
         through m."""
-        memo = self.memo.get(tag) or self._group(series, tag)
-        row, nz, _ = memo
+        row, nz, _, groups = self.memo.get(tag) or self._group(series, tag)
         start = len(row)
         if m < start:
             return row[m]
-        consts, groups = self.groups[tag]
         # each group's row is read up to m - (its least k)
         rows = [(self._row(i, j, m - ks[0][0]), ks) for i, j, ks in groups if ks[0][0] <= m]
         for t in range(start, m + 1):
-            acc = consts.get(t, ZERO)
+            acc = ZERO
             for pr, ks in rows:
                 for k, c in ks:
                     if k > t:
@@ -355,11 +329,14 @@ class _Composer:
 
     def reopen(self, d: int) -> None:
         """Forget every entry that a[d] and b[d] reach, after they were set."""
-        for rows in (self.a_pows[2:], self.b_pows[2:], self.prods.values()):
-            for row, nz in rows:
-                del row[d:]
-                del nz[bisect_left(nz, d):]
-        for row, nz, lag in self.memo.values():
+        for i, rows in enumerate(self.rows):
+            # a[d] and b[d] reach a^i b^j from entry d + i + j - 1; the unit,
+            # a and b (cut <= d) are kept whole
+            for cut, (row, nz) in enumerate(rows, d + i - 1):
+                if d < cut < len(row):
+                    del row[cut:]
+                    del nz[bisect_left(nz, cut):]
+        for row, nz, lag, _ in self.memo.values():
             del row[d + lag:]
             del nz[bisect_left(nz, d + lag):]
 
@@ -373,10 +350,10 @@ def _deriv_conv(deriv, nz, comp: _Composer, series, q: int, tag) -> GaussianRati
     if not nz or q < nz[0] or not series.terms:
         return ZERO
     comp.coeff(series, q - nz[0], tag)
-    row, row_nz, _ = comp.memo[tag]
+    row, row_nz = comp.memo[tag][:2]
     if len(row_nz) <= len(nz):
-        return _product_coeff(row, row_nz, deriv.__getitem__, q)
-    return _product_coeff(deriv, nz, row.__getitem__, q)
+        return _product_coeff(row, row_nz, deriv, q)
+    return _product_coeff(deriv, nz, row, q)
 
 
 def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:

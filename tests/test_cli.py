@@ -282,6 +282,51 @@ def test_separatrix_file_list_lengths_exit_code(tmp_path, capsys, x_of_z, y_of_z
 
 
 @pytest.mark.parametrize(
+    "x_of_z", ["00", {"0": "0", "1": "0"}, 0], ids=["string", "object", "number"]
+)
+def test_separatrix_file_that_is_not_a_list_exit_code(tmp_path, capsys, x_of_z):
+    # a string or an object would otherwise be read character by character
+    # or key by key: "00" would load as the curve (0, 0)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"x_of_z": x_of_z, "y_of_z": ["0", "0"]}))
+    code, out = run_cli(
+        ["resolve", "[y, x*z, z^3]", "--separatrix", "file", "--separatrix-file", str(path)],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["message"] == "cannot load the separatrix file: x_of_z is not a list"
+
+
+def test_resolve_deep_power_fills_its_rows_without_recursion(capsys):
+    # x^990 and its x-partial read a chain of 990 rows of x(z)^f; the
+    # composer fills it in a loop, so the stack depth does not grow with it
+    code, out = run_cli(
+        ["resolve", "[y + x^990, x*z, z^3]", "--trunc", "1000", "--max-steps", "0"], capsys
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "resolve",
+        "field": ["y + x^990", "x*z", "z^3"],
+        "trunc": 1000,
+        "separatrix": "solve",
+        "outcome": "max_steps_exhausted",
+        "steps": [
+            {
+                "chart": None,
+                "class": "nilpotent_nonzero",
+                "mult": 3,
+                "divisor_exponent": 0,
+                "tangency": 1000,
+                "matched": False,
+                "no_match_reason": "first component is not y + z*(series)",
+            }
+        ],
+        "report": None,
+        "verdict": None,
+    }
+
+
+@pytest.mark.parametrize(
     "field, separatrix",
     [("[z, 0, 0]", "axis"), ("[y - z, x*z, z^3]", "file")],
     ids=["x-component-along-axis", "zero-file-curve"],

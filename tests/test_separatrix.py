@@ -289,34 +289,32 @@ class TestSparseSupports:
     )
     def test_product_coeff_equals_the_dense_sum(self, u, v, t):
         nz = [i for i, c in enumerate(u) if c]
-        called = []
-
-        def getter(m):
-            called.append(m)
-            return v[m]
-
         dense = ZERO
         for s in range(min(t + 1, len(u))):
             dense = dense + u[s] * v[t - s]
-        assert _product_coeff(u, nz, getter, t) == dense
+        read = _ReadLog(v)
+        assert _product_coeff(u, nz, read, t) == dense
         # v is read only behind the nonzero entries of u
-        assert called == [t - s for s in nz if s <= t]
+        assert read.indices == [t - s for s in nz if s <= t]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_composer_supports_follow_reopen(self, seed):
         # the solver's protocol: write a[d], b[d], append d to the support of
         # a nonzero entry, reopen at d; reopening at an earlier point only
-        # forgets entries.  Every support stays the nonzero indices of its row
-        # and every coefficient equals the dense composition.  The series
-        # group several z^k under one x^i y^j with i, j >= 1 and carry a
-        # coefficient of exactly 1, so product rows are built and cut.
+        # forgets entries.  Every row of the table stays a prefix of the
+        # dense a^i b^j, its support the nonzero indices of its row, and every
+        # coefficient equals the dense composition.  The series group several
+        # z^k under one x^i y^j with i >= 1, j >= 2, whose chain runs through
+        # the row of a^i that their x^i z^k term reads, and carry a
+        # coefficient of exactly 1.
         rng = random.Random(seed)
         cap = 10
         a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
         nz_a, nz_b = [], []
         comp = _Composer(a, nz_a, b, nz_b, cap)
-        series = [_grouped_series(rng, cap) for _ in range(2)]
+        i, j = rng.randint(1, 2), rng.randint(2, 3)
+        series = [_grouped_series(rng, cap, i, j) for _ in range(2)]
         d = 1
         for _ in range(40):
             op = rng.random()
@@ -339,15 +337,12 @@ class TestSparseSupports:
                 )
                 expect = compose_curve(series[tag], curve).coeffs[m]
                 assert comp.coeff(series[tag], m, tag) == expect
-            for pows in (comp.a_pows, comp.b_pows):
-                for row, nz in pows:
-                    assert nz == [i for i, c in enumerate(row) if c]
-            for (i, j), (row, nz) in comp.prods.items():
-                assert i >= 1 and j >= 1
-                assert nz == [n for n, c in enumerate(row) if c]
-                product = MSeries.monomial(ONE, (i, j, 0), cap)
-                assert row == _dense_composition(product, a, b, cap)[: len(row)]
-        assert comp.prods, "no x^i y^j row was built"
+            for e, rows in enumerate(comp.rows):
+                for f, (row, nz) in enumerate(rows):
+                    assert nz == [n for n, c in enumerate(row) if c]
+                    product = MSeries.monomial(ONE, (e, f, 0), cap)
+                    assert row[: cap + 1] == _dense_composition(product, a, b, cap)[: len(row)]
+        assert comp.rows[i][j][0], "no x^i y^j row was filled"
 
 
     @settings(max_examples=60, deadline=None)
@@ -387,18 +382,30 @@ class TestSparseSupports:
                 dense = _dense_composition(series[tag], a, b, cap)
                 expect = convolve(da, dense, q)[q] if q >= 0 else ZERO
                 assert _deriv_conv(da, nz_da, comp, series[tag], q, tag) == expect
-            for tag, (row, nz, _) in comp.memo.items():
+            for tag, (row, nz, _, _) in comp.memo.items():
                 assert row == _dense_composition(series[tag], a, b, cap)[: len(row)]
                 assert nz == [i for i, c in enumerate(row) if c]
 
 
-def _grouped_series(rng, cap: int) -> MSeries:
-    """A random series with a z^k-only part, several z^k under one x^i y^j
-    (i, j >= 1) and a term x^i y^j z^k (i + j >= 1) with coefficient 1."""
+class _ReadLog(list):
+    """A coefficient list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.indices = []
+
+    def __getitem__(self, m):
+        self.indices.append(m)
+        return super().__getitem__(m)
+
+
+def _grouped_series(rng, cap: int, i: int, j: int) -> MSeries:
+    """A random series with a z^k-only part, several z^k under x^i y^j, a
+    term x^i z^k and a term x^e y^f z^k (e + f >= 1) with coefficient 1."""
     terms = dict(rand_mseries(rng, cap, maxdeg=4, terms=6).terms)
-    i, j = rng.randint(1, 2), rng.randint(1, 2)
     for k in rng.sample(range(4), 3):
         terms[(i, j, k)] = rand_scalar(rng) or ONE
+    terms[(i, 0, rng.randint(0, 3))] = rand_scalar(rng) or ONE
     terms[(0, 0, rng.randint(0, 3))] = rand_scalar(rng) or ONE
     terms[(rng.randint(0, 2), rng.randint(1, 2), rng.randint(0, 2))] = ONE
     return MSeries(terms, cap)
