@@ -1,6 +1,13 @@
 """Input DSL for vector fields: a bracketed triple of polynomial expressions
 in x, y, z with Gaussian-rational coefficients.
 
+``parse_field`` reads the printed form, the one ``format_field`` writes, with
+one compiled term pattern: each term is a sign, a coefficient ``n``, ``n/d``,
+``n/d*i``, ``i`` or ``(a/b+c/d*i)``, and a monomial ``x^i*y^j*z^k``, and it
+becomes one exponent triple and one canonical scalar.  At the first character
+that pattern does not match, the whole input goes to the recursive descent
+below, which reads all other input and raises every ``ParseError``.
+
 Grammar (whitespace ignored; positions are 0-based character offsets):
 
     triple : '[' expr ',' expr ',' expr ']'
@@ -15,6 +22,9 @@ unexpected character.  Exponents are capped at ``MAX_EXPONENT`` and
 parentheses nest at most ``MAX_NESTING`` deep; past either cap the input is
 a ``ParseError`` at the offending ``^`` or ``(``, as is a numeral past
 Python's int-string limit, at the numeral or, for an exponent, at its ``^``.
+A power whose exponent times the bit length of its base's largest
+coefficient part (plus that of its term count) passes ``MAX_EXPONENT`` times
+the bit length of a numeral at that limit is "power too large" at its ``^``.
 
 Division is restricted to nonzero constant divisors (rationals like 1/2 and
 scalar units like (1+i)).  Parse-print-parse is idempotent for the canonical
@@ -31,7 +41,7 @@ import re
 import sys
 
 from .errors import ParseError
-from .scalars import GaussianRational, I, ONE
+from .scalars import GaussianRational, I, ONE, from_ints
 from .series import MSeries, format_mseries, mul_terms, pow_terms
 from .vfield import VectorField
 
@@ -43,6 +53,29 @@ _NAMES = {"i": (_ONE_MONO, I), "x": ((1, 0, 0), ONE), "y": ((0, 1, 0), ONE), "z"
 # groups: nat, name, operator; anything else but whitespace is an error
 _TOKEN = re.compile(r"(\d+)|([xyzi])|([-+*/^(),\[\]])|(\S)")
 _KINDS = (None, "nat", "name")
+# a power's exponent times its base's height may not pass MAX_EXPONENT times
+# the bit length of a numeral at Python's int-string limit
+_MAX_POWER_BITS = MAX_EXPONENT * (
+    10 ** (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - 1
+).bit_length()
+
+# One printed term and the whitespace after it: a sign, then a coefficient
+# with an optional '*' and monomial, or a bare monomial.
+_TERM = re.compile(
+    r"""\s*([-+]?)\s*
+    (?P<coef>([0-9]+)(?:/([0-9]+))?(\*i)?                   # n, n/d, n*i, n/d*i
+      |(i)                                                # i
+      |\((-?[0-9]+)(?:/([0-9]+))?([-+])(?:([0-9]+)(?:/([0-9]+))?\*)?i\)    # (a/b+c/d*i)
+    )?
+    (?:(?(coef)\*)(?=[xyz])                               # x^i*y^j*z^k, in this order
+      (?P<x>x(?:\^([0-9]+))?)?
+      (?P<y>(?(x)\*)y(?:\^([0-9]+))?)?
+      ((?(x)\*|(?(y)\*))z(?:\^([0-9]+))?)?
+    )?\s*""",
+    re.VERBOSE,
+)
+_OPEN = re.compile(r"\s*\[")
+_END = re.compile(r"\s*\Z")
 
 
 def _tokenize(src: str) -> list:
@@ -65,18 +98,102 @@ def _nat(text: str, pos: int, message: str = "") -> int:
         raise ParseError(message or f"numeral longer than {sys.get_int_max_str_digits()} digits", pos) from None
 
 
+def _add_term(acc: dict, m: tuple, c: GaussianRational) -> None:
+    """acc[m] += c in place, dropping a coefficient that cancels."""
+    cur = acc.get(m)
+    if cur is None:
+        acc[m] = c
+    else:
+        total = cur + c
+        if total:
+            acc[m] = total
+        else:
+            del acc[m]
+
+
 def _add_into(acc: dict, rhs: dict, negate: bool) -> None:
     """acc += rhs (or -= rhs) in place, dropping coefficients that cancel."""
     for m, c in rhs.items():
-        cur = acc.get(m)
-        if cur is None:
-            acc[m] = -c if negate else c
-        else:
-            total = cur - c if negate else cur + c
-            if total:
-                acc[m] = total
-            else:
-                del acc[m]
+        _add_term(acc, m, -c if negate else c)
+
+
+def _printed_term(groups: tuple):
+    """The exponent triple and the coefficient of one match of ``_TERM``, or
+    None if it read no term, divides by zero or has an exponent past
+    ``MAX_EXPONENT``.  A numeral past Python's int-string limit raises
+    ``ValueError``."""
+    sign, coef, n, d, ni, i, p, q, im_sign, r, s, x, xe, y, ye, z, ze = groups
+    if coef is None:
+        if not (x or y or z):
+            return None
+        c = (1, 0, 1)
+    elif n is not None:
+        n, d = int(n), int(d) if d else 1
+        if not d:
+            return None
+        c = (0, n, d) if ni else (n, 0, d)
+    elif i is not None:
+        c = (0, 1, 1)
+    else:
+        p, q = int(p), int(q) if q else 1
+        r, s = int(r) if r else 1, int(s) if s else 1
+        if not q or not s:
+            return None
+        if im_sign == "-":
+            r = -r
+        c = (p * s, r * q, q * s)
+    a, b, d = c
+    if sign == "-":
+        a, b = -a, -b
+    mono = (
+        (int(xe) if xe else 1) if x else 0,
+        (int(ye) if ye else 1) if y else 0,
+        (int(ze) if ze else 1) if z else 0,
+    )
+    if max(mono) > MAX_EXPONENT:
+        return None
+    return mono, from_ints(a, b, d)
+
+
+def _read_printed(src: str, trunc: int):
+    """The three term dicts of a field in the printed form, equal to the
+    descent's, insertion order included; None at the first character that
+    form does not allow.  Never raises."""
+    m = _OPEN.match(src)
+    if m is None:
+        return None
+    pos = m.end()
+    comps = []
+    for close in ",,]":
+        acc = {}
+        lead = True
+        while True:
+            m = _TERM.match(src, pos)
+            # the first term of a component takes no '+', every later one a sign
+            if m[1] == ("+" if lead else ""):
+                return None
+            try:
+                term = _printed_term(m.groups())
+            except ValueError:
+                return None
+            if term is None:
+                return None
+            mono, c = term
+            if c and sum(mono) <= trunc:
+                _add_term(acc, mono, c)
+            pos = m.end()
+            lead = False
+            if src.startswith(close, pos):
+                break
+            if not src.startswith(("+", "-"), pos):
+                return None
+        comps.append(acc)
+        pos += 1
+    return comps if _END.match(src, pos) else None
+
+
+def _field(comps: list, trunc: int) -> VectorField:
+    return VectorField(*(MSeries(c, trunc) for c in comps))
 
 
 class _Parser:
@@ -103,7 +220,7 @@ class _Parser:
             comps.append(self.parse_expr())
         self.take("]")
         self.take("end")
-        return VectorField(*(MSeries(c, self.trunc) for c in comps))
+        return _field(comps, self.trunc)
 
     def parse_expr(self) -> dict:
         acc = self.parse_term()
@@ -160,13 +277,21 @@ class _Parser:
             if exp > self.trunc and _ONE_MONO not in base:
                 base = {}
             else:
+                height = max((c.bit_length() for c in base.values()), default=0) + len(base).bit_length()
+                if exp * height > _MAX_POWER_BITS:
+                    raise ParseError("power too large", pos)
                 base = pow_terms(base, exp, self.trunc)
         return {m: -c for m, c in base.items()} if negate else base
 
 
 def parse_field(src: str, trunc: int) -> VectorField:
-    """Parse '[F, G, H]' into a vector field at the given truncation."""
-    return _Parser(src, trunc).parse_triple()
+    """Parse '[F, G, H]' into a vector field at the given truncation: the
+    printed form through ``_read_printed``, any other input through the
+    descent."""
+    comps = _read_printed(src, trunc)
+    if comps is None:
+        return _Parser(src, trunc).parse_triple()
+    return _field(comps, trunc)
 
 
 def parse_series(src: str, trunc: int) -> MSeries:

@@ -56,6 +56,10 @@ def _reduced(a: int, b: int, d: int) -> "GaussianRational":
     return obj
 
 
+# (a + b*i) / d for ints with d > 0, reduced to its canonical triple
+from_ints = _reduced
+
+
 class GaussianRational:
     """A number re + im*i with exact rational re, im, held as (a + b*i) / d."""
 
@@ -92,6 +96,10 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def bit_length(self) -> int:
+        """The largest bit length among a, b and d."""
+        return max(self._a.bit_length(), self._b.bit_length(), self._d.bit_length())
 
     # -- predicates ------------------------------------------------------------
 

@@ -344,6 +344,10 @@ class MSeries:
         return max((sum(m) for m in self.terms), default=0)
 
     def retrunc(self, trunc: int) -> "MSeries":
+        """The series cut at ``trunc``; itself at its own ledger, as no code
+        changes a series' terms."""
+        if trunc == self.trunc:
+            return self
         if trunc > self.trunc:
             raise ValueError("cannot raise a truncation ledger")
         return MSeries(self.terms, trunc)
@@ -517,14 +521,25 @@ class MSeries:
         return f"MSeries({format_mseries(self)}; trunc={self.trunc})"
 
 
+# the text of each exponent triple printed so far, emptied when it is full
+_MONO_TEXT: dict = {}
+_MONO_TEXT_SIZE = 4096
+
+
 def _mono_str(m) -> str:
-    parts = []
-    for v, e in zip(VARS, m):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts) if parts else "1"
+    text = _MONO_TEXT.get(m)
+    if text is None:
+        parts = []
+        for v, e in zip(VARS, m):
+            if e == 1:
+                parts.append(v)
+            elif e > 1:
+                parts.append(f"{v}^{e}")
+        text = "*".join(parts) if parts else "1"
+        if len(_MONO_TEXT) >= _MONO_TEXT_SIZE:
+            _MONO_TEXT.clear()
+        _MONO_TEXT[m] = text
+    return text
 
 
 def _graded_lex_key(m):
@@ -537,6 +552,9 @@ def format_mseries(s: MSeries) -> str:
     Each coefficient is printed once and classified by its text: 1 and -1
     leave the bare monomial, a real or purely imaginary one (no sign after its
     first character) multiplies it as printed, and any other is parenthesised.
+    Monomial strings come from ``_mono_str``, which builds the text of each
+    exponent triple once and keeps it in a cache of at most
+    ``_MONO_TEXT_SIZE`` triples.
     """
     if not s.terms:
         return "0"

@@ -433,6 +433,17 @@ def test_unprintable_coefficient_exit_code(capsys):
     assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
 
 
+def test_power_too_large_exit_code(capsys):
+    # the base's 16.8-Mbit coefficient to the 4096th would be 68.7 Gbit
+    code, out = run_cli(["classify", "[((2^4096)^4096)^4096, y, z]"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "parse",
+        "message": "power too large (at position 16)",
+        "position": 16,
+    }
+
+
 def test_curve_chart_must_be_transverse(capsys):
     code, out = run_cli(
         ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--chart", "x"], capsys

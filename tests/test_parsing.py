@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from folres import MSeries, VectorField
 from folres.cli import main
 from folres.errors import ParseError
-from folres.parsing import format_field, parse_field, parse_series
+from folres.parsing import _Parser, _read_printed, format_field, parse_field, parse_series
 from folres.scalars import GaussianRational, format_scalar
 
 from conftest import gr
@@ -39,11 +39,23 @@ from conftest import gr
         ("[x, y, z]]", "expected 'end', found ']'", 9),
         ("[x + , y, z]", "expected a value, found ','", 5),
         ("[x, y; z]", "unexpected character ';'", 5),
+        ("[1/0*x, y, z]", "division only by nonzero constants", 2),
+        ("[(1+2/0*i)*x, y, z]", "division only by nonzero constants", 5),
+        ("[(+1/2+i)*x, y, z]", "expected a value, found '+'", 2),
+        ("[x, y, z] w", "unexpected character 'w'", 10),
+        ("[3*x^5000, y, z]", "exponent too large", 4),
+        ("[((2^4096)^4096)^4096, y, z]", "power too large", 16),
         pytest.param(
             "[" + "9" * (sys.get_int_max_str_digits() + 1) + ", y, z]",
             f"numeral longer than {sys.get_int_max_str_digits()} digits",
             1,
             id="numeral-past-int-string-limit",
+        ),
+        pytest.param(
+            "[1/" + "9" * (sys.get_int_max_str_digits() + 1) + "*x, y, z]",
+            f"numeral longer than {sys.get_int_max_str_digits()} digits",
+            3,
+            id="denominator-past-int-string-limit",
         ),
         pytest.param(
             "[x^" + "1" * (sys.get_int_max_str_digits() + 1) + ", y, z]",
@@ -72,12 +84,27 @@ def test_parse_error_message_and_position(text, message, position):
         ("(1 + x)^2 - 1", 1, {(1, 0, 0): gr(2)}),
         ("--x/(1 + i)", 24, {(1, 0, 0): gr("1/2", "-1/2")}),
         ("x^٣", 24, {(3, 0, 0): gr(1)}),
+        ("x*x", 24, {(2, 0, 0): gr(1)}),
+        ("2 x", 24, {(1, 0, 0): gr(2)}),
+        ("x - -y", 24, {(1, 0, 0): gr(1), (0, 1, 0): gr(1)}),
+        ("+x", 24, None),
+        ("(17^4096)^4096", 24, None),
     ],
 )
 def test_accepted_edge_cases(text, trunc, terms):
+    # as a series and as the first component of a field; None pins an error
+    if terms is None:
+        with pytest.raises(ParseError):
+            parse_series(text, trunc)
+        with pytest.raises(ParseError):
+            parse_field(f"[{text}, 0, 0]", trunc)
+        return
     s = parse_series(text, trunc)
     assert s.trunc == trunc
     assert s.terms == terms
+    f = parse_field(f"[{text}, 0, 0]", trunc)
+    assert f.trunc == trunc
+    assert f.fx.terms == terms
 
 
 def test_superscript_digit_is_a_parse_error(capsys):
@@ -127,6 +154,12 @@ def _fields(draw):
     return VectorField(*comps)
 
 
+def _descent_terms(text: str, trunc: int) -> list:
+    """The descent's term dicts of a field as (monomial, coefficient) lists,
+    so that comparing them compares insertion order too."""
+    return [list(c.terms.items()) for c in _Parser(text, trunc).parse_triple().components]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_fields())
 def test_parse_print_parse_is_idempotent(field):
@@ -135,6 +168,11 @@ def test_parse_print_parse_is_idempotent(field):
     assert again.eq_trusted(field)
     assert format_field(again) == text
     assert format_field(parse_field(format_field(again), field.trunc)) == text
+    # the printed form is read by the term pattern, exactly as the descent reads it
+    for trunc in {0, field.trunc // 2, field.trunc, field.trunc + 2}:
+        fast = _read_printed(text, trunc)
+        assert fast is not None
+        assert [list(c.items()) for c in fast] == _descent_terms(text, trunc)
 
 
 def _fraction_text(q: Fraction) -> str:
@@ -175,9 +213,13 @@ _runs = st.tuples(st.sampled_from(["(", ")", "-"]), st.integers(1, 600)).map(
 def test_fuzz_returns_a_field_or_raises_parse_error(tokens, bracket, trunc):
     body = "".join(tokens)
     text = f"[{body}, y, z]" if bracket else body
+    fast = _read_printed(text, trunc)  # never raises
     try:
         out = parse_field(text, trunc)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+        assert fast is None
     else:
         assert isinstance(out, VectorField)
+        if fast is not None:
+            assert [list(c.items()) for c in fast] == _descent_terms(text, trunc)

@@ -382,6 +382,12 @@ def test_operations_do_not_mutate_inputs():
     assert u.coeffs == snap_u
 
 
+def test_retrunc_at_its_own_ledger_is_the_series():
+    s = MSeries({(1, 0, 0): 1, (0, 2, 1): gr(1, 2)}, 6)
+    assert s.retrunc(s.trunc) is s
+    assert s.retrunc(2).terms == {(1, 0, 0): gr(1)}
+
+
 def test_ratio_estimate_on_solved_divergent_series():
     # end-to-end: the solved graph series feeds the growth diagnostics
     from folres.separatrix import solve_graph_separatrix
