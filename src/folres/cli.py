@@ -170,8 +170,9 @@ def cmd_resolve(args) -> dict:
     field = parse_field(args.field, args.trunc)
     k, rep = factor_divisor(field, "z")
     curve = _load_curve(args, field, rep)
-    # one composition serves the residual check and the driver's first step:
-    # the field is z^k rep and the curve a graph, so X o phi = T^k (rep o phi)
+    # one composition serves the residual check and the whole run: the field
+    # is z^k rep and the curve a graph, so X o phi = T^k (rep o phi), and the
+    # driver carries the image of rep through each blow-up
     image = _curve_image(rep, curve)
     residual = _residual(*_shift_image(image, k, min(field.trunc, curve.ledger)))
     if not residual.full:
@@ -179,7 +180,12 @@ def cmd_resolve(args) -> dict:
             f"separatrix residual vanishes only through degree {residual.order}"
         )
     trace = rs.resolve_along(
-        field, curve, args.max_steps, stop_on_match=not args.no_match_stop, _image=image
+        field,
+        curve,
+        args.max_steps,
+        stop_on_match=not args.no_match_stop,
+        _image=image,
+        _factored=(k, rep),
     )
     steps = []
     for s in trace.steps:

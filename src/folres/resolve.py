@@ -34,6 +34,7 @@ from .separatrix import (
     _curve_image,
     _multiplicity,
     _residual,
+    _transport_image,
     solve_graph_separatrix,
     straighten,
     transform_curve,
@@ -75,7 +76,12 @@ class PersistentReport:
 
 
 def detect_persistent_normal_form(
-    field: VectorField, degree: int = 24, curve: FormalCurve | None = None, *, _image=None
+    field: VectorField,
+    degree: int = 24,
+    curve: FormalCurve | None = None,
+    *,
+    _image=None,
+    _factored=None,
 ) -> PersistentReport:
     """Match the persistent normal form and certify its separatrix.
 
@@ -84,25 +90,34 @@ def detect_persistent_normal_form(
     and accepted when its tangency with the z-axis is at least 2 and its
     invariance residual vanishes through degree target - 1.  The residual is
     read from the image (X o curve, curve') of the factor-divisor
-    representative, which the driver passes as `_image`; the normal-form
-    representative differs from it by a unit, which changes neither the
-    residual's order nor its ledger.  The graph separatrix is solved only
-    when no carried curve passes those checks.
+    representative, which the driver passes as `_image` with the factoring
+    factor_divisor(field, "z") as `_factored`; called on its own, the
+    function factors the field once and composes that image itself.  The
+    normal-form representative differs from the factor-divisor one by a
+    unit, which changes neither the residual's order nor its ledger.  The
+    graph separatrix is solved only when no carried curve passes those
+    checks, or when the image is known to less than the target.
 
     Raises NoNormalFormMatch naming the first violated condition.
     """
-    parts, reason = nilpotent_normal_form_full(field)
+    factored = _factored or factor_divisor(field, "z")
+    parts, reason = nilpotent_normal_form_full(field, _factored=factored)
     if parts is None:
         raise NoNormalFormMatch(reason or "not in normal form")
     rep = parts.representative
     target = min(degree, max(rep.trunc - 1, 1))
     prefix = None
     if curve is not None and curve.graph_over_z and curve.ledger >= target:
-        images, derivs = _image or _curve_image(factor_divisor(field, "z")[1], curve)
+        images, derivs = _image or _curve_image(factored[1], curve)
         cut = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
-        if cut.tangency_bound() >= 2 and _residual(
-            [im.retrunc(target) for im in images], [d.retrunc(target - 1) for d in derivs]
-        ).full:
+        if (
+            cut.tangency_bound() >= 2
+            and min(im.trunc for im in images) >= target
+            and _residual(
+                [im.retrunc(target) for im in images],
+                [d.retrunc(target - 1) for d in derivs],
+            ).full
+        ):
             prefix = cut
     if prefix is None:
         try:
@@ -186,6 +201,7 @@ def resolve_along(
     stop_on_match: bool = False,
     *,
     _image=None,
+    _factored=None,
 ) -> ResolutionTrace:
     """Follow the separatrix through one-point blow-ups.
 
@@ -198,32 +214,50 @@ def resolve_along(
     shear (x, y, z) -> (x + a1 z, y + b1 z, z) of `straighten`, applied to
     the recentered field and curve: a z-chart blow-up lowers the curve's
     contact with the z-axis by one, and the shear restores normal-form
-    coordinates without changing n, lambda or k.  Each step composes the
-    factor-divisor representative along the carried curve once, reads the
-    multiplicity from that image, and hands image and curve to
+    coordinates without changing n, lambda or k.
+
+    The field is composed along the curve once per run: the first step
+    composes the factor-divisor representative of `field` along `phi`, or
+    reads `_image` when the caller has already composed it (with its
+    factoring factor_divisor(field, "z") as `_factored`).  Every later step
+    carries the image through the blow-up, translation and shear with
+    `separatrix._transport_image`, so it is never composed again; each step
+    factors z^k out of its field once.  Each step reads the multiplicity
+    from its image and hands image, factoring and curve to
     `detect_persistent_normal_form`, which certifies the curve instead of
-    solving the separatrix again.  A caller that has already composed the
-    factor-divisor representative of `field` along `phi` passes that image
-    as `_image`, and the first step reads it.
+    solving the separatrix again.  A step with no image (the first
+    composition or a transport failed, as on a curve whose phi3 is not T)
+    records no multiplicity and solves the separatrix.
     """
     steps = []
     current = field
     curve = phi
     chart = point_chart("z")
+    factored = _factored or factor_divisor(field, "z")
+    image = _image
+    if image is None:
+        try:
+            image = _curve_image(factored[1], curve)
+        except FolresError:
+            pass
 
-    def record(chart_kind, divisor_exponent, image=None):
+    def record(chart_kind, divisor_exponent):
         cls = classify(current)
         mult = None
-        if cls.tag != REGULAR:
+        if cls.tag != REGULAR and image is not None:
             try:
-                image = image or _curve_image(factor_divisor(current, "z")[1], curve)
                 mult = _multiplicity(*image)
             except FolresError:
                 pass
         report = None
         reason = None
         try:
-            report = detect_persistent_normal_form(current, curve=curve, _image=image)
+            report = detect_persistent_normal_form(
+                current,
+                curve=None if image is None else curve,
+                _image=image,
+                _factored=factored,
+            )
         except NoNormalFormMatch as exc:
             reason = str(exc)
         steps.append(
@@ -239,7 +273,7 @@ def resolve_along(
         )
         return cls, report
 
-    cls, report = record(None, 0, _image)
+    cls, report = record(None, 0)
     matched = report is not None
     for remaining in range(max_steps, -1, -1):
         if cls.tag in (REGULAR, ELEMENTARY):
@@ -265,6 +299,14 @@ def resolve_along(
         curve = recentered
         if matched and curve.graph_over_z:
             current, curve = straighten(current, curve, 1)
+        k_old = factored[0]
+        factored = factor_divisor(current, "z")
+        if image is not None:
+            s = result.divisor_exponent - k_old + factored[0]
+            try:
+                image = _transport_image(image, moved, curve, s, factored[1].trunc)
+            except FolresError:
+                image = None
         cls, report = record(chart.kind, result.divisor_exponent)
         matched = matched or report is not None
     final_report = report if outcome == PERSISTENT_NORMAL_FORM_MATCHED else None

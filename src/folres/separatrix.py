@@ -54,7 +54,7 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve, var_index
+from .series import INFINITE, MSeries, USeries, compose_curve, mul_terms, var_index
 from .vfield import PolyMap, VectorField, conjugate
 
 
@@ -147,10 +147,67 @@ def _shift_image(image, k: int, t: int):
     plus k.  phi' is unchanged.
     """
     images, derivs = image
-    shifted = [
-        USeries([ZERO] * k + list(im.coeffs), im.trunc + k).retrunc(t) for im in images
-    ]
-    return shifted, derivs
+    return [_times_power(im, k).retrunc(t) for im in images], derivs
+
+
+def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trunc: int):
+    """The image (rep' o curve, curve') after a z-chart point blow-up, read
+    from the image (I, phi') = (rep o phi, phi') before it, with no
+    composition; rep and rep' are the factor-divisor representatives of the
+    field before and after the step.
+
+    `moved` is transform_curve(phi, chart) before `recenter`, psi below, and
+    its third component must be T.  The chart's pullback of z^k_old rep,
+    taken along psi, is T^k_old ((I1 - psi1 I3)/T, (I2 - psi2 I3)/T, I3).
+    The blow-up divides it by z^e and the step's factoring by z^k_new, so
+    that triple, J, is divided by T^s with s = e - k_old + k_new.  The field
+    is then moved by the translation and tangent shear
+    (x, y, z) -> (x + c1 + a1 z, y + c2 + b1 z, z) that take `moved` to
+    `curve`, read from the two curves: the translation leaves the image
+    unchanged, and the shear maps it to (J1 - a1 J3, J2 - b1 J3, J3).
+
+    The products psi_v I3 take the valuation-aware ledger of
+    `_minus_product`.  The result is cut to min(trunc, curve.ledger), trunc
+    the ledger of rep', which is the ledger of the recomposed image; no
+    ledger is raised.  After a blow-up with e >= 1 (a source of order two
+    or more) the first two components can come out one degree short of
+    that, as compose_curve's min rule gives I no longer ledger.  Raises
+    NotGraph when the third component of `moved` is not T.
+    """
+    (i1, i2, i3), _ = image
+    if not _is_param_identity(moved.phi3):
+        raise NotGraph("the image is transported along curves with phi3 = T")
+    j3 = _times_power(i3, -s)
+    out = []
+    for im, psi, new in zip((i1, i2), moved.components, curve.components):
+        j = _times_power(_minus_product(im, psi, i3), -1 - s)
+        a1 = psi.coeffs[1] - new.coeffs[1]
+        out.append(j - j3.scale(a1) if a1 else j)
+    out.append(j3)
+    t = min(trunc, curve.ledger)
+    return [c.retrunc(min(t, c.trunc)) for c in out], [c.derivative() for c in curve.components]
+
+
+def _times_power(s: USeries, n: int) -> USeries:
+    """s T^n for an integer n; a negative n divides exactly (`shift_down`)."""
+    if n < 0:
+        return s.shift_down(-n)
+    return USeries([ZERO] * n + list(s.coeffs), s.trunc + n) if n else s
+
+
+def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
+    """u - a b, with the product known through min(la + vb, lb + va), l the
+    ledgers and v the valuations: the unknown tail of each factor meets the
+    other's lowest term no earlier.  A factor zero at its precision counts
+    valuation ledger + 1.  The product walks the nonzero supports of both
+    factors (`mul_terms`), and only its nonzero entries are subtracted."""
+    va, vb = (min(s.valuation(), s.trunc + 1) for s in (a, b))
+    t = min(u.trunc, a.trunc + vb, b.trunc + va)
+    a_terms, b_terms = ({(n, 0, 0): c for n, c in enumerate(s.coeffs) if c} for s in (a, b))
+    out = list(u.coeffs[: t + 1])
+    for (n, _, _), c in mul_terms(a_terms, b_terms, t).items():
+        out[n] = out[n] - c
+    return USeries(out, t)
 
 
 def invariance_residual(field: VectorField, phi: FormalCurve) -> ResidualReport:

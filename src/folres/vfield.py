@@ -278,17 +278,18 @@ class NormalFormParts:
     representative: VectorField
 
 
-def nilpotent_normal_form_full(field: VectorField):
+def nilpotent_normal_form_full(field: VectorField, *, _factored=None):
     """Match the persistent-nilpotent shape: (parts, None) or (None, reason).
 
     Checks, in order: nonzero field, z^k divisor factoring, nilpotent nonzero
     linear part, third component z^n * unit with n >= 2, first component
     y + z f and second z g with f, g vanishing at 0, and dg/dx(0) != 0.  The
-    reason names the first check that fails.
+    reason names the first check that fails.  A caller that has already
+    factored the field passes factor_divisor(field, "z") as `_factored`.
     """
     if field.is_zero():
         return None, "field is zero at the trusted precision"
-    k, rep = factor_divisor(field, "z")
+    k, rep = _factored or factor_divisor(field, "z")
     cls = classify(rep)
     if cls.tag != NILPOTENT_NONZERO:
         return None, f"foliation representative is {cls.tag}, not nilpotent-nonzero"

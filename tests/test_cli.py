@@ -345,16 +345,17 @@ def test_resolve_rejects_a_curve_that_is_not_invariant(tmp_path, capsys, field, 
 
 
 @pytest.mark.parametrize(
-    "argv, compositions",
+    "argv, steps",
     [
-        (["resolve", "[y - z, x*z, z^3]", "--trunc", "24"], 9),
-        (EXACT_CASES["resolve_divisor_k1"], 3),
+        (["resolve", "[y - z, x*z, z^3]", "--trunc", "24"], 3),
+        (EXACT_CASES["resolve_divisor_k1"], 1),
     ],
     ids=["xlambda-three-steps", "divisor-k1-one-step"],
 )
-def test_resolve_composes_each_step_image_once(argv, compositions, capsys, monkeypatch):
-    # the residual check and the driver's first step share one image, three
-    # compositions per step (one per field component) and none besides
+def test_resolve_composes_each_step_image_once(argv, steps, capsys, monkeypatch):
+    # the residual check and the driver's first step share one image, and
+    # each later step carries it through its blow-up: three compositions per
+    # run (one per field component), however many steps, and none besides
     import folres.separatrix as sx
 
     original = sx.compose_curve
@@ -367,14 +368,15 @@ def test_resolve_composes_each_step_image_once(argv, compositions, capsys, monke
     monkeypatch.setattr(sx, "compose_curve", counted)
     code, out = run_cli(argv, capsys)
     assert code == 0
-    assert len(calls) == 3 * len(json.loads(out)["steps"]) == compositions
+    assert len(json.loads(out)["steps"]) == steps
+    assert len(calls) == 3
 
 
 def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
-    # the solved curve and the residual check read one factor-divisor
-    # representative of the input field.  Every z^k factoring is counted:
-    # the input field once, each of the two later steps' images once, and
-    # each of the three steps once inside detect; the blow-ups' chart
+    # the solved curve, the residual check and the first step read one
+    # factor-divisor representative of the input field.  Every z^k factoring
+    # is counted: one per field, the input's and each of the two later
+    # steps', which the step's image and detect share; the blow-ups' chart
     # division, a different field, is not
     import folres.cli
     import folres.resolve
@@ -389,9 +391,10 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
 
     for module in (folres.cli, folres.resolve, folres.vfield):
         monkeypatch.setattr(module, "factor_divisor", counted)
-    code, _ = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
+    code, out = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
     assert code == 0
-    assert len(calls) == 6
+    assert len(json.loads(out)["steps"]) == 3
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("trunc", ["-1", "1025"])

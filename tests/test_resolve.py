@@ -26,12 +26,21 @@ from folres.resolve import (
 from folres.scalars import GaussianRational
 from folres.separatrix import (
     FormalCurve,
+    _curve_image,
+    _transport_image,
     invariance_residual,
     solve_graph_separatrix,
+    straighten,
     transform_curve,
 )
 from folres.series import MSeries, USeries
-from folres.vfield import nilpotent_normal_form_full
+from folres.vfield import (
+    PolyMap,
+    classify,
+    conjugate,
+    factor_divisor,
+    nilpotent_normal_form_full,
+)
 
 from conftest import (
     field_degenerate_family,
@@ -39,6 +48,7 @@ from conftest import (
     gr,
     rand_mseries,
     rand_normal_form,
+    rand_scalar,
     vf,
 )
 
@@ -396,7 +406,9 @@ class TestOneCurveImagePerStep:
             calls.clear()
             trace = resolve_along(X, curve, 3)
             assert all(s.report is not None for s in trace.steps)
-            assert len(calls) == 3 * len(trace.steps)
+            # one image per run: the later steps carry it through each blow-up
+            assert len(trace.steps) == 4
+            assert len(calls) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -448,3 +460,99 @@ class TestOneCurveImagePerStep:
             assert [(c.coeffs, c.trunc) for c in prefix.components] == [
                 (c.coeffs, c.trunc) for c in expected.components
             ]
+
+
+def _image_key(image):
+    return [(c.coeffs, c.trunc) for part in image for c in part]
+
+
+def _transport_and_compare(field, curve, steps, shear):
+    """Run `steps` driver steps by hand, transport the image through each,
+    and compare it with the composition of the step's factor-divisor
+    representative along its curve.  Returns how many steps translated the
+    origin (the shift path)."""
+    chart = point_chart("z")
+    k, rep = factor_divisor(field, "z")
+    image = _curve_image(rep, curve)
+    shifts = 0
+    for _ in range(steps):
+        if classify(field).tag in ("regular", "elementary") or field.trunc < 3 or curve.ledger < 2:
+            break
+        result = point_blowup(field, chart)
+        moved = transform_curve(curve, chart)
+        curve, consts = moved.recenter()
+        field = result.vf
+        if consts[0] or consts[1]:
+            field = field.shift_origin((consts[0], consts[1], 0))
+            shifts += 1
+        if shear and curve.graph_over_z:
+            field, curve = straighten(field, curve, 1)
+        k_old = k
+        k, rep = factor_divisor(field, "z")
+        image = _transport_image(image, moved, curve, result.divisor_exponent - k_old + k, rep.trunc)
+        assert _image_key(image) == _image_key(_curve_image(rep, curve))
+    return shifts
+
+
+class TestTransportedImage:
+    """The image carried through a blow-up, translation and tangent shear
+    equals the recomposed one, coefficients and ledgers alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(0, 1), shear=st.booleans())
+    def test_transport_equals_recomposition_on_soak_fields(self, seed, k, shear):
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 16)
+        curve = solve_graph_separatrix(X, 15)
+        field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, k), 16))
+        _transport_and_compare(field, curve, 3, shear)
+
+    @pytest.mark.parametrize("shear", [False, True])
+    def test_transport_equals_recomposition_on_the_shift_path(self, shear):
+        # X_lambda's separatrix reaches tangency 1, and the next blow-up moves
+        # the curve off the origin; so does the curve x = 0, y = z at once
+        X = field_xlambda(1)
+        steps = [(X, solve_graph_separatrix(X, 20), 5)]
+        field = vf(
+            {(0, 1, 0): 1, (0, 0, 1): -1},
+            {(0, 1, 0): 1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 0, 2): 1},
+            {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 2): 1},
+            12,
+        )
+        line = FormalCurve.graph(USeries.zero(11), USeries.identity(11))
+        steps.append((field, line, 3))
+        for field, curve, n in steps:
+            assert _transport_and_compare(field, curve, n, shear) >= 1
+
+
+class TestCoordinateIndependence:
+    """A unit multiple of the field, or its conjugate by a graph shear
+    (x + c z^2, y + d z^2, z), gives the same resolution: outcome, (n,
+    lambda, k) and multiplicity sequence."""
+
+    @staticmethod
+    def _resolution(field):
+        k, rep = factor_divisor(field, "z")
+        curve = solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        trace = resolve_along(field, curve, 3)
+        r = trace.report
+        return trace.outcome, r and (r.n, r.lam, r.k), trace.mult_sequence()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_unit_multiple(self, seed):
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 24)
+        c0 = rand_scalar(rng) or gr(1)
+        unit = MSeries.constant(c0, 24) + rand_mseries(rng, 24, val=1, maxdeg=2, terms=3)
+        assert self._resolution(X.map(lambda c: c * unit)) == self._resolution(X)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_graph_shear_conjugate(self, seed):
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 24)
+        x, y, z = (MSeries.variable(v, 24) for v in "xyz")
+        z2 = MSeries.monomial(1, (0, 0, 2), 24)
+        shear = PolyMap((x + z2.scale(rand_scalar(rng)), y + z2.scale(rand_scalar(rng)), z))
+        assert self._resolution(conjugate(X, shear)) == self._resolution(X)
