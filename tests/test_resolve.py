@@ -35,6 +35,8 @@ from folres.separatrix import (
 )
 from folres.series import MSeries, USeries
 from folres.vfield import (
+    ELEMENTARY,
+    REGULAR,
     PolyMap,
     classify,
     conjugate,
@@ -410,6 +412,21 @@ class TestOneCurveImagePerStep:
             assert len(trace.steps) == 4
             assert len(calls) == 3
 
+    def test_an_image_shorter_than_the_target_is_not_certified(self, monkeypatch):
+        # a transported image can be one degree short of the recomposed one;
+        # detect then solves instead of cutting the image above its ledger
+        X = field_xlambda(1)
+        trace = resolve_along(X, solve_graph_separatrix(X, 20), 4)
+        field, curve = trace.final_field, trace.final_curve
+        images, derivs = _curve_image(factor_divisor(field, "z")[1], curve)
+        monkeypatch.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
+        report = detect_persistent_normal_form(field, curve=curve, _image=(images, derivs))
+        target = report.separatrix_prefix.ledger
+        assert min(im.trunc for im in images) == target
+        short = [im.retrunc(target - 1) for im in images]
+        with pytest.raises(_Solved):
+            detect_persistent_normal_form(field, curve=curve, _image=(short, derivs))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -476,7 +493,7 @@ def _transport_and_compare(field, curve, steps, shear):
     image = _curve_image(rep, curve)
     shifts = 0
     for _ in range(steps):
-        if classify(field).tag in ("regular", "elementary") or field.trunc < 3 or curve.ledger < 2:
+        if classify(field).tag in (REGULAR, ELEMENTARY) or field.trunc < 3 or curve.ledger < 2:
             break
         result = point_blowup(field, chart)
         moved = transform_curve(curve, chart)
