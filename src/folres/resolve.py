@@ -85,18 +85,18 @@ def detect_persistent_normal_form(
 ) -> PersistentReport:
     """Match the persistent normal form and certify its separatrix.
 
-    A carried graph `curve` (the one the resolution driver transports) is
-    cut to the degree a solve would reach, target = min(degree, trunc - 1),
-    and accepted when its tangency with the z-axis is at least 2 and its
-    invariance residual vanishes through degree target - 1.  The residual is
-    read from the image (X o curve, curve') of the factor-divisor
-    representative, which the driver passes as `_image` with the factoring
-    factor_divisor(field, "z") as `_factored`; called on its own, the
-    function factors the field once and composes that image itself.  The
-    normal-form representative differs from the factor-divisor one by a
-    unit, which changes neither the residual's order nor its ledger.  The
-    graph separatrix is solved only when no carried curve passes those
-    checks, or when the image is known to less than the target.
+    With no `curve`, the graph separatrix of the normal-form representative
+    is solved to target = min(degree, trunc - 1).  A carried `curve` (the
+    one the resolution driver transports) is certified, never solved: it
+    must be a graph over z whose image is known through the target and
+    whose invariance residual vanishes through degree target - 1, and it is
+    cut to the target.  The residual is read from the image (X o curve,
+    curve') of the factor-divisor representative, which the driver passes
+    as `_image` with the factoring factor_divisor(field, "z") as
+    `_factored`; otherwise the function factors the field and composes the
+    image itself.  The normal-form representative differs from the
+    factor-divisor one by a unit, which changes neither the residual's
+    order nor its ledger.  Either prefix must have tangency at least 2.
 
     Raises NoNormalFormMatch naming the first violated condition.
     """
@@ -106,24 +106,28 @@ def detect_persistent_normal_form(
         raise NoNormalFormMatch(reason or "not in normal form")
     rep = parts.representative
     target = min(degree, max(rep.trunc - 1, 1))
-    prefix = None
-    if curve is not None and curve.graph_over_z and curve.ledger >= target:
-        images, derivs = _image or _curve_image(factored[1], curve)
-        cut = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
-        if (
-            cut.tangency_bound() >= 2
-            and min(im.trunc for im in images) >= target
-            and _residual(
-                [im.retrunc(target) for im in images],
-                [d.retrunc(target - 1) for d in derivs],
-            ).full
-        ):
-            prefix = cut
-    if prefix is None:
+    if curve is None:
         try:
             prefix = solve_graph_separatrix(rep, target)
         except FolresError as exc:
             raise NoNormalFormMatch(f"no graph separatrix: {exc}") from exc
+    else:
+        if not curve.graph_over_z:
+            raise NoNormalFormMatch("carried curve is not a graph over z")
+        images, derivs = _image or _curve_image(factored[1], curve)
+        known = min(im.trunc for im in images)
+        if known < target:
+            raise NoNormalFormMatch(
+                f"carried curve is known through degree {known}, the match needs {target}"
+            )
+        residual = _residual(
+            [im.retrunc(target) for im in images], [d.retrunc(target - 1) for d in derivs]
+        )
+        if not residual.full:
+            raise NoNormalFormMatch(
+                f"carried curve residual vanishes only through degree {residual.order}"
+            )
+        prefix = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
     tan = prefix.tangency_bound()
     if tan < 2:
         raise NoNormalFormMatch("solved separatrix is not tangent to the z-axis")
@@ -224,22 +228,18 @@ def resolve_along(
     `separatrix._transport_image`, so it is never composed again; each step
     factors z^k out of its field once.  Each step reads the multiplicity
     from its image and hands image, factoring and curve to
-    `detect_persistent_normal_form`, which certifies the curve instead of
-    solving the separatrix again.  A step with no image (the first
-    composition or a transport failed, as on a curve whose phi3 is not T)
-    records no multiplicity and solves the separatrix.
+    `detect_persistent_normal_form`, which certifies the carried curve or
+    names the check it fails; the driver never solves the separatrix.  A
+    step whose transport failed (as on a curve whose phi3 is not T) has no
+    image: it records no multiplicity, and detection composes the image
+    itself.  A curve off the origin raises at the first composition.
     """
     steps = []
     current = field
     curve = phi
     chart = point_chart("z")
     factored = _factored or factor_divisor(field, "z")
-    image = _image
-    if image is None:
-        try:
-            image = _curve_image(factored[1], curve)
-        except FolresError:
-            pass
+    image = _image or _curve_image(factored[1], curve)
 
     def record(chart_kind, divisor_exponent):
         cls = classify(current)
@@ -253,10 +253,7 @@ def resolve_along(
         reason = None
         try:
             report = detect_persistent_normal_form(
-                current,
-                curve=None if image is None else curve,
-                _image=image,
-                _factored=factored,
+                current, curve=curve, _image=image, _factored=factored
             )
         except NoNormalFormMatch as exc:
             reason = str(exc)

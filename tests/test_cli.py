@@ -1,14 +1,22 @@
 import cmath
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from folres import MSeries, VectorField
 from folres.cli import main
 from folres.parsing import format_field, parse_field
 from folres.errors import ParseError
+from folres.scalars import GaussianRational
+
+from conftest import rand_normal_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,21 +214,42 @@ def test_console_entry_point_smoke():
     assert json.loads(out.stdout)["class"] == "elementary"
 
 
-def test_resolve_separatrix_file(tmp_path, capsys):
-    curve = {"x_of_z": ["0", "0"], "y_of_z": ["0", "0"]}
+def _resolve_file_curve(tmp_path, capsys, coeffs, max_steps):
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps(curve))
+    path.write_text(json.dumps({"x_of_z": ["0"] * coeffs, "y_of_z": ["0"] * coeffs}))
     code, out = run_cli(
         [
             "resolve", "[y, x*z, z^3]",
             "--separatrix", "file",
             "--separatrix-file", str(path),
-            "--max-steps", "2",
+            "--max-steps", str(max_steps),
         ],
         capsys,
     )
+    return code, json.loads(out)
+
+
+def test_resolve_separatrix_file(tmp_path, capsys):
+    # the z-axis through the run's target (24 coefficients at trunc 24)
+    code, out = _resolve_file_curve(tmp_path, capsys, 24, 2)
     assert code == 0
-    assert json.loads(out)["outcome"] == "persistent_normal_form_matched"
+    assert out["outcome"] == "persistent_normal_form_matched"
+    assert [(s["mult"], s["matched"]) for s in out["steps"]] == [(3, True)]
+
+
+def test_resolve_short_separatrix_file_is_reported_not_extended(tmp_path, capsys):
+    # a file shorter than the step's target is certified as it stands: the
+    # driver does not solve a longer separatrix in its place
+    code, out = _resolve_file_curve(tmp_path, capsys, 2, 0)
+    assert code == 0
+    assert out["outcome"] == "max_steps_exhausted"
+    assert [(s["mult"], s["matched"], s["no_match_reason"]) for s in out["steps"]] == [
+        (None, False, "carried curve is known through degree 1, the match needs 20")
+    ]
+    assert out["report"] is None
+    code, out = _resolve_file_curve(tmp_path, capsys, 2, 2)
+    assert code == 4
+    assert out["message"] == "blow-up step 1: curve ledger needs 2, has 1"
 
 
 def test_resolve_separatrix_file_round_trip(tmp_path, capsys):
@@ -397,6 +426,74 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_resolve_solves_one_separatrix_per_run(capsys, monkeypatch):
+    # --separatrix solve solves the input's separatrix once; every step of
+    # the driver certifies the curve it carries, the tangency-1 one included
+    import folres.cli
+    import folres.resolve
+    import folres.separatrix
+
+    original = folres.separatrix.solve_graph_separatrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    for module in (folres.cli, folres.resolve, folres.separatrix):
+        monkeypatch.setattr(module, "solve_graph_separatrix", counted)
+    code, out = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert [(s["tangency"], s["matched"]) for s in steps] == [(1, False), (1, False), (2, True)]
+    assert calls == [23]
+
+
+TRANSPORT_FALLBACK_FIELD = (
+    "[-i*y*z^2 + (1+i)*y^2 - i*y^2*z, 2*x*y + 2*x^3 + (1+i)*x*y*z, -2*y^3 - 2*z^3 + x*z]"
+)
+
+
+def test_resolve_goes_on_when_the_image_cannot_be_transported(capsys, monkeypatch):
+    # at trunc 5 the first blow-up's image cannot be divided by its shift;
+    # the step then records no multiplicity and the run goes on, where a
+    # raising transport would end it in exit 3
+    import folres.resolve
+
+    original = folres.resolve._transport_image
+    raised = []
+
+    def recorded(*args):
+        try:
+            return original(*args)
+        except Exception as exc:
+            raised.append(type(exc).__name__)
+            raise
+
+    monkeypatch.setattr(folres.resolve, "_transport_image", recorded)
+    argv = ["resolve", TRANSPORT_FALLBACK_FIELD, "--trunc", "5", "--max-steps", "2"]
+    code, out = run_cli(argv, capsys)
+    assert raised == ["NotDivisible"]
+    assert code == 0
+    steps = [
+        ("null", "zero_linear_part", 0, 4, "zero_linear_part"),
+        ('"point_chart_z"', "zero_linear_part", 1, 3, "zero_linear_part"),
+        ('"point_chart_z"', "elementary", 1, 2, "elementary"),
+    ]
+    assert out == (
+        '{"command": "resolve", "field": ["(1+i)*y^2 - i*y^2*z - i*y*z^2", '
+        '"2*x*y + 2*x^3 + (1+i)*x*y*z", "x*z - 2*y^3 - 2*z^3"], "trunc": 5, '
+        '"separatrix": "solve", "outcome": "reached_elementary", "steps": ['
+        + ", ".join(
+            f'{{"chart": {chart}, "class": "{cls}", "mult": null, "divisor_exponent": {e}, '
+            f'"tangency": {tan}, "matched": false, "no_match_reason": "foliation '
+            f'representative is {rep}, not nilpotent-nonzero"}}'
+            for chart, cls, e, tan, rep in steps
+        )
+        + '], "report": null, "verdict": null}\n'
+    )
+
+
 @pytest.mark.parametrize("trunc", ["-1", "1025"])
 def test_negative_trunc_exit_code(trunc, capsys):
     code, out = run_cli(["classify", "[x, y, z]", "--trunc", trunc], capsys)
@@ -487,3 +584,43 @@ def test_precision_exhausted_exit_code(capsys):
         "error": "precision_exhausted",
         "message": "blow-up step 4: field trunc needs 3, has 2",
     }
+
+
+@st.composite
+def _resolve_fields(draw):
+    """A random sparse field, or a soak normal form times z^k, as printed."""
+    if draw(st.booleans()):
+        monos = st.tuples(*(st.integers(0, 4),) * 3)
+        scalars = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
+        comps = [MSeries(draw(st.dictionaries(monos, scalars, max_size=4)), 24) for _ in range(3)]
+        return format_field(VectorField(*comps))
+    X, _, _ = rand_normal_form(random.Random(draw(st.integers(0, 10**6))), 24)
+    factor = MSeries.monomial(1, (0, 0, draw(st.integers(0, 2))), 24)
+    return format_field(X.map(lambda c: c * factor))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    field=_resolve_fields(),
+    trunc=st.integers(3, 14),
+    separatrix=st.sampled_from(["solve", "axis"]),
+    max_steps=st.integers(0, 6),
+    no_match_stop=st.booleans(),
+)
+def test_resolve_argv_fuzz_ends_in_a_documented_exit_code(
+    field, trunc, separatrix, max_steps, no_match_stop
+):
+    # every run prints one JSON document and ends in exit 0, 3 or 4; an
+    # exception other than the documented errors would escape `main`
+    argv = ["resolve", field, "--trunc", str(trunc), "--separatrix", separatrix]
+    argv += ["--max-steps", str(max_steps)] + ["--no-match-stop"] * no_match_stop
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 3, 4)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert ("error" not in doc) == (code == 0)
+    if code == 0:
+        assert doc["command"] == "resolve" and len(doc["steps"]) <= max_steps + 1

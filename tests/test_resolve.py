@@ -341,7 +341,7 @@ class TestRandomNormalFormSoak:
         rng = random.Random(315)
         for _ in range(10):
             X, n, lam = rand_normal_form(rng, 16)
-            report = detect_persistent_normal_form(X, 12)
+            report = detect_persistent_normal_form(X)
             assert (report.n, report.lam, report.k) == (n, lam, 0)
             trace = resolve_along(X, report.separatrix_prefix, 3)
             for step in trace.steps:
@@ -349,6 +349,23 @@ class TestRandomNormalFormSoak:
                 assert step.mult == n
                 assert step.report is not None
                 assert (step.report.n, step.report.lam) == (n, lam)
+
+    def test_driver_reports_a_carried_prefix_shorter_than_the_target(self):
+        # the degree-12 prefix is the solved one for n >= 3, but an n = 2
+        # field's target is 13: the driver certifies the prefix it carries,
+        # reports the shortfall and never solves a longer one in its place
+        rng = random.Random(315)
+        for _ in range(10):
+            X, n, lam = rand_normal_form(rng, 16)
+            trace = resolve_along(X, detect_persistent_normal_form(X, 12).separatrix_prefix, 3)
+            assert [(s.cls.tag, s.mult) for s in trace.steps] == [("nilpotent_nonzero", n)] * 4
+            if n >= 3:
+                assert [s.report and (s.report.n, s.report.lam) for s in trace.steps] == [(n, lam)] * 4
+                continue
+            assert trace.steps[0].no_match_reason == (
+                "carried curve is known through degree 12, the match needs 13"
+            )
+            assert all(s.report is None for s in trace.steps)
 
     def test_carried_curve_gives_the_solved_report(self, monkeypatch):
         import folres.resolve as rs
@@ -414,7 +431,8 @@ class TestOneCurveImagePerStep:
 
     def test_an_image_shorter_than_the_target_is_not_certified(self, monkeypatch):
         # a transported image can be one degree short of the recomposed one;
-        # detect then solves instead of cutting the image above its ledger
+        # detect then reports the shortfall instead of cutting the image above
+        # its ledger, and solves nothing
         X = field_xlambda(1)
         trace = resolve_along(X, solve_graph_separatrix(X, 20), 4)
         field, curve = trace.final_field, trace.final_curve
@@ -424,8 +442,11 @@ class TestOneCurveImagePerStep:
         target = report.separatrix_prefix.ledger
         assert min(im.trunc for im in images) == target
         short = [im.retrunc(target - 1) for im in images]
-        with pytest.raises(_Solved):
+        with pytest.raises(NoNormalFormMatch) as exc:
             detect_persistent_normal_form(field, curve=curve, _image=(short, derivs))
+        assert str(exc.value) == (
+            f"carried curve is known through degree {target - 1}, the match needs {target}"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -459,24 +480,81 @@ class TestOneCurveImagePerStep:
         comps[data.draw(st.integers(0, 1), label="component")][m] += GaussianRational(*delta)
         curve = FormalCurve.graph(USeries(comps[0], ledger), USeries(comps[1], ledger))
 
-        # the reference rule reads the normal-form representative
-        expected = None
-        if curve.ledger >= target:
+        # the reference rule reads the normal-form representative, and checks
+        # the ledger, then the residual, then the tangency
+        expected = reason = None
+        if curve.ledger < target:
+            reason = f"carried curve is known through degree {curve.ledger}, the match needs {target}"
+        else:
             cut = FormalCurve.graph(curve.phi1.retrunc(target), curve.phi2.retrunc(target))
-            if cut.tangency_bound() >= 2 and invariance_residual(rep, cut).full:
+            residual = invariance_residual(rep, cut)
+            if not residual.full:
+                reason = f"carried curve residual vanishes only through degree {residual.order}"
+            elif cut.tangency_bound() < 2:
+                reason = "solved separatrix is not tangent to the z-axis"
+            else:
                 expected = cut
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
             try:
                 prefix = detect_persistent_normal_form(field, degree, curve).separatrix_prefix
-            except _Solved:
-                prefix = None
+                found = None
+            except NoNormalFormMatch as exc:
+                prefix, found = None, str(exc)
         assert (prefix is None) == (expected is None)
+        assert found == reason
         if prefix is not None:
             assert [(c.coeffs, c.trunc) for c in prefix.components] == [
                 (c.coeffs, c.trunc) for c in expected.components
             ]
+
+    def test_the_driver_never_solves_and_keeps_each_step_report(self):
+        # with the solver refused, every step of the driver certifies the
+        # curve it carries, and its report (or reason) is the one a solve of
+        # that step's field gives: soak normal forms times z^k, the X_lambda
+        # walk through its tangency-1 step and the shear, and a walk whose
+        # second step translates the origin (`shift_origin`)
+        def key(report):
+            c = report.separatrix_prefix
+            return (
+                report.n, report.lam, report.k, report.tangency,
+                [(s.coeffs, s.trunc) for s in c.components],
+            )
+
+        rng = random.Random(315)
+        cases = []
+        for i in range(8):
+            X, _, _ = rand_normal_form(rng, 16)
+            field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, i % 2), 16))
+            cases.append((field, solve_graph_separatrix(X, 15), 3))
+        X = field_xlambda(1)
+        cases.append((X, solve_graph_separatrix(X, 20), 5))
+        field = vf(
+            {(0, 1, 0): 1, (0, 0, 1): -1},
+            {(0, 1, 0): 1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 0, 2): 1},
+            {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 2): 1},
+            12,
+        )
+        cases.append((field, FormalCurve.graph(USeries.zero(11), USeries.identity(11)), 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
+            runs = [
+                (resolve_along(f, c, n), [resolve_along(f, c, j).final_field for j in range(n + 1)])
+                for f, c, n in cases
+            ]
+        reasons = set()
+        for trace, fields in runs:
+            assert len(trace.steps) == len(fields)
+            for step, f in zip(trace.steps, fields):
+                try:
+                    solved, reason = key(detect_persistent_normal_form(f)), None
+                except NoNormalFormMatch as exc:
+                    solved, reason = None, str(exc)
+                assert (step.report and key(step.report), step.no_match_reason) == (solved, reason)
+                reasons.add((step.tangency, reason))
+        assert (1, "solved separatrix is not tangent to the z-axis") in reasons
+        assert sum(s.report is not None for t, _ in runs for s in t.steps) == 37
 
 
 def _image_key(image):
