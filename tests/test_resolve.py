@@ -370,13 +370,6 @@ class TestRandomNormalFormSoak:
     def test_carried_curve_gives_the_solved_report(self, monkeypatch):
         import folres.resolve as rs
 
-        def key(report):
-            c = report.separatrix_prefix
-            return (
-                report.n, report.lam, report.k, report.tangency,
-                [(s.coeffs, s.trunc) for s in c.components],
-            )
-
         rng = random.Random(315)
         cases = []
         for _ in range(10):
@@ -388,14 +381,34 @@ class TestRandomNormalFormSoak:
         trace = resolve_along(X, solve_graph_separatrix(X, 20), 4)
         assert trace.steps[-1].report is not None
         cases.append((trace.final_field, trace.final_curve))
-        solved = [key(detect_persistent_normal_form(f)) for f, _ in cases]
+        solved = [_report_key(detect_persistent_normal_form(f)) for f, _ in cases]
 
         def refuse(*args):
             raise AssertionError("the carried curve was not certified")
 
         monkeypatch.setattr(rs, "solve_graph_separatrix", refuse)
-        carried = [key(detect_persistent_normal_form(f, curve=c)) for f, c in cases]
+        carried = [_report_key(detect_persistent_normal_form(f, curve=c)) for f, c in cases]
         assert carried == solved
+
+
+def _report_key(report):
+    c = report.separatrix_prefix
+    return (
+        report.n, report.lam, report.k, report.tangency,
+        [(s.coeffs, s.trunc) for s in c.components],
+    )
+
+
+def _shift_path_case():
+    """[y - z, y - z + x*z + z^2, y - z + z^2] at trunc 12 and its separatrix
+    x = 0, y = z: the first blow-up moves the curve off the origin."""
+    field = vf(
+        {(0, 1, 0): 1, (0, 0, 1): -1},
+        {(0, 1, 0): 1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 0, 2): 1},
+        {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 2): 1},
+        12,
+    )
+    return field, FormalCurve.graph(USeries.zero(11), USeries.identity(11))
 
 
 class _Solved(Exception):
@@ -515,13 +528,6 @@ class TestOneCurveImagePerStep:
         # that step's field gives: soak normal forms times z^k, the X_lambda
         # walk through its tangency-1 step and the shear, and a walk whose
         # second step translates the origin (`shift_origin`)
-        def key(report):
-            c = report.separatrix_prefix
-            return (
-                report.n, report.lam, report.k, report.tangency,
-                [(s.coeffs, s.trunc) for s in c.components],
-            )
-
         rng = random.Random(315)
         cases = []
         for i in range(8):
@@ -530,13 +536,7 @@ class TestOneCurveImagePerStep:
             cases.append((field, solve_graph_separatrix(X, 15), 3))
         X = field_xlambda(1)
         cases.append((X, solve_graph_separatrix(X, 20), 5))
-        field = vf(
-            {(0, 1, 0): 1, (0, 0, 1): -1},
-            {(0, 1, 0): 1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 0, 2): 1},
-            {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 2): 1},
-            12,
-        )
-        cases.append((field, FormalCurve.graph(USeries.zero(11), USeries.identity(11)), 3))
+        cases.append((*_shift_path_case(), 3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
             runs = [
@@ -548,10 +548,10 @@ class TestOneCurveImagePerStep:
             assert len(trace.steps) == len(fields)
             for step, f in zip(trace.steps, fields):
                 try:
-                    solved, reason = key(detect_persistent_normal_form(f)), None
+                    solved, reason = _report_key(detect_persistent_normal_form(f)), None
                 except NoNormalFormMatch as exc:
                     solved, reason = None, str(exc)
-                assert (step.report and key(step.report), step.no_match_reason) == (solved, reason)
+                assert (step.report and _report_key(step.report), step.no_match_reason) == (solved, reason)
                 reasons.add((step.tangency, reason))
         assert (1, "solved separatrix is not tangent to the z-axis") in reasons
         assert sum(s.report is not None for t, _ in runs for s in t.steps) == 37
@@ -608,14 +608,7 @@ class TestTransportedImage:
         # the curve off the origin; so does the curve x = 0, y = z at once
         X = field_xlambda(1)
         steps = [(X, solve_graph_separatrix(X, 20), 5)]
-        field = vf(
-            {(0, 1, 0): 1, (0, 0, 1): -1},
-            {(0, 1, 0): 1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 0, 2): 1},
-            {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 2): 1},
-            12,
-        )
-        line = FormalCurve.graph(USeries.zero(11), USeries.identity(11))
-        steps.append((field, line, 3))
+        steps.append((*_shift_path_case(), 3))
         for field, curve, n in steps:
             assert _transport_and_compare(field, curve, n, shear) >= 1
 
