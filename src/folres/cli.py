@@ -27,13 +27,7 @@ from .parsing import parse_field, parse_series
 from .scalars import GaussianRational
 from .series import USeries, format_mseries
 from .blowup import curve_chart, point_blowup, point_chart, curve_blowup, weight2_blowup
-from .separatrix import (
-    FormalCurve,
-    _curve_image,
-    _residual,
-    _shift_image,
-    solve_graph_separatrix,
-)
+from .separatrix import FormalCurve, solve_graph_separatrix
 from .vfield import (
     LinearPart,
     VectorField,
@@ -170,21 +164,12 @@ def cmd_resolve(args) -> dict:
     field = parse_field(args.field, args.trunc)
     k, rep = factor_divisor(field, "z")
     curve = _load_curve(args, field, rep)
-    # one composition serves the residual check and the whole run: the field
-    # is z^k rep and the curve a graph, so X o phi = T^k (rep o phi), and the
-    # driver carries the image of rep through each blow-up
-    image = _curve_image(rep, curve)
-    residual = _residual(*_shift_image(image, k, min(field.trunc, curve.ledger)))
-    if not residual.full:
-        raise FolresError(
-            f"separatrix residual vanishes only through degree {residual.order}"
-        )
+    # resolve_along checks that the curve is invariant for rep
     trace = rs.resolve_along(
         field,
         curve,
         args.max_steps,
         stop_on_match=not args.no_match_stop,
-        _image=image,
         _factored=(k, rep),
     )
     steps = []

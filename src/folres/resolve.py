@@ -33,7 +33,6 @@ from .separatrix import (
     FormalCurve,
     _curve_image,
     _multiplicity,
-    _residual,
     _transport_image,
     solve_graph_separatrix,
     straighten,
@@ -91,8 +90,8 @@ def detect_persistent_normal_form(
     must be a graph over z whose image is known through the target and
     whose invariance residual vanishes through degree target - 1, and it is
     cut to the target.  The residual is read from the image (X o curve,
-    curve') of the factor-divisor representative, which the driver passes
-    as `_image` with the factoring factor_divisor(field, "z") as
+    curve', residual) of the factor-divisor representative, which the driver
+    passes as `_image` with the factoring factor_divisor(field, "z") as
     `_factored`; otherwise the function factors the field and composes the
     image itself.  The normal-form representative differs from the
     factor-divisor one by a unit, which changes neither the residual's
@@ -114,16 +113,13 @@ def detect_persistent_normal_form(
     else:
         if not curve.graph_over_z:
             raise NoNormalFormMatch("carried curve is not a graph over z")
-        images, derivs = _image or _curve_image(factored[1], curve)
+        images, _, residual = _image or _curve_image(factored[1], curve)
         known = min(im.trunc for im in images)
         if known < target:
             raise NoNormalFormMatch(
                 f"carried curve is known through degree {known}, the match needs {target}"
             )
-        residual = _residual(
-            [im.retrunc(target) for im in images], [d.retrunc(target - 1) for d in derivs]
-        )
-        if not residual.full:
+        if residual.order < target - 1:
             raise NoNormalFormMatch(
                 f"carried curve residual vanishes only through degree {residual.order}"
             )
@@ -204,7 +200,6 @@ def resolve_along(
     max_steps: int,
     stop_on_match: bool = False,
     *,
-    _image=None,
     _factored=None,
 ) -> ResolutionTrace:
     """Follow the separatrix through one-point blow-ups.
@@ -221,25 +216,32 @@ def resolve_along(
     coordinates without changing n, lambda or k.
 
     The field is composed along the curve once per run: the first step
-    composes the factor-divisor representative of `field` along `phi`, or
-    reads `_image` when the caller has already composed it (with its
-    factoring factor_divisor(field, "z") as `_factored`).  Every later step
-    carries the image through the blow-up, translation and shear with
-    `separatrix._transport_image`, so it is never composed again; each step
-    factors z^k out of its field once.  Each step reads the multiplicity
-    from its image and hands image, factoring and curve to
-    `detect_persistent_normal_form`, which certifies the carried curve or
-    names the check it fails; the driver never solves the separatrix.  A
-    step whose transport failed (as on a curve whose phi3 is not T) has no
-    image: it records no multiplicity, and detection composes the image
-    itself.  A curve off the origin raises at the first composition.
+    composes the factor-divisor representative rep = field / z^k along
+    `phi` (`_factored` is factor_divisor(field, "z") when the caller has it),
+    and raises FolresError when the invariance residual of that image does
+    not vanish through its ledger.  Every later step carries the image,
+    residual included, through the blow-up, translation and shear with
+    `separatrix._transport_image`, so it is never composed again.  The
+    blow-up has factored the divisor out of its field, and the translation
+    and shear fix z, so no later step factors z^k.  Each step reads the
+    multiplicity from its image and hands image, factoring and curve to
+    `detect_persistent_normal_form`, which certifies the carried curve from
+    the residual or names the check it fails; the driver never solves the
+    separatrix.  A step whose transport failed (as on a curve whose phi3 is
+    not T) has no image: it records no multiplicity, and detection composes
+    the image itself.  A curve off the origin raises at the first
+    composition.
     """
     steps = []
     current = field
     curve = phi
     chart = point_chart("z")
     factored = _factored or factor_divisor(field, "z")
-    image = _image or _curve_image(factored[1], curve)
+    image = _curve_image(factored[1], curve)
+    if not image[2].full:
+        raise FolresError(
+            f"separatrix residual vanishes only through degree {image[2].order}"
+        )
 
     def record(chart_kind, divisor_exponent):
         cls = classify(current)
@@ -297,9 +299,9 @@ def resolve_along(
         if matched and curve.graph_over_z:
             current, curve = straighten(current, curve, 1)
         k_old = factored[0]
-        factored = factor_divisor(current, "z")
+        factored = (0, current)
         if image is not None:
-            s = result.divisor_exponent - k_old + factored[0]
+            s = result.divisor_exponent - k_old
             try:
                 image = _transport_image(image, moved, curve, s, factored[1].trunc)
             except FolresError:

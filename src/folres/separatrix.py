@@ -134,33 +134,27 @@ class ResidualReport:
 
 
 def _curve_image(field: VectorField, phi: FormalCurve):
-    """(X o phi, phi'), the one composition behind residual and multiplicity."""
+    """(X o phi, phi', residual), the one composition behind residual and
+    multiplicity."""
     images = [compose_curve(c, phi.components) for c in field.components]
-    return images, [c.derivative() for c in phi.components]
-
-
-def _shift_image(image, k: int, t: int):
-    """The image of X = z^k rep along a graph curve from that of rep.
-
-    On a graph curve phi3 = T, so X o phi = T^k (rep o phi); the images are
-    shifted up by k and cut to ledger t, which must not exceed their ledger
-    plus k.  phi' is unchanged.
-    """
-    images, derivs = image
-    return [_times_power(im, k).retrunc(t) for im in images], derivs
+    derivs = [c.derivative() for c in phi.components]
+    return images, derivs, _residual(images, derivs)
 
 
 def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trunc: int):
-    """The image (rep' o curve, curve') after a z-chart point blow-up, read
-    from the image (I, phi') = (rep o phi, phi') before it, with no
-    composition; rep and rep' are the factor-divisor representatives of the
-    field before and after the step.
+    """The image (rep' o curve, curve', residual) after a z-chart point
+    blow-up, read from the images I = rep o phi of the image before it, with
+    no composition; rep and rep' are the factor-divisor representatives of
+    the field before and after the step, and the residual is read from the
+    transported images and curve'.
 
     `moved` is transform_curve(phi, chart) before `recenter`, psi below, and
     its third component must be T.  The chart's pullback of z^k_old rep,
     taken along psi, is T^k_old ((I1 - psi1 I3)/T, (I2 - psi2 I3)/T, I3).
     The blow-up divides it by z^e and the step's factoring by z^k_new, so
-    that triple, J, is divided by T^s with s = e - k_old + k_new.  The field
+    that triple, J, is divided by T^s with s = e - k_old + k_new; the driver
+    passes s = e - k on its first blow-up and s = e after it, since the
+    blow-up leaves no z-divisor to factor (k_new = 0).  The field
     is then moved by the translation and tangent shear
     (x, y, z) -> (x + c1 + a1 z, y + c2 + b1 z, z) that take `moved` to
     `curve`, read from the two curves: the translation leaves the image
@@ -174,7 +168,7 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
     that, as compose_curve's min rule gives I no longer ledger.  Raises
     NotGraph when the third component of `moved` is not T.
     """
-    (i1, i2, i3), _ = image
+    (i1, i2, i3), _, _ = image
     if not _is_param_identity(moved.phi3):
         raise NotGraph("the image is transported along curves with phi3 = T")
     j3 = _times_power(i3, -s)
@@ -185,7 +179,9 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
         out.append(j - j3.scale(a1) if a1 else j)
     out.append(j3)
     t = min(trunc, curve.ledger)
-    return [c.retrunc(min(t, c.trunc)) for c in out], [c.derivative() for c in curve.components]
+    images = [c.retrunc(min(t, c.trunc)) for c in out]
+    derivs = [c.derivative() for c in curve.components]
+    return images, derivs, _residual(images, derivs)
 
 
 def _times_power(s: USeries, n: int) -> USeries:
@@ -212,7 +208,7 @@ def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
 
 def invariance_residual(field: VectorField, phi: FormalCurve) -> ResidualReport:
     """Order of trusted vanishing of the two invariance residuals."""
-    return _residual(*_curve_image(field, phi))
+    return _curve_image(field, phi)[2]
 
 
 def _pivot(vals) -> int:
@@ -237,35 +233,32 @@ def _residual(images, derivs) -> ResidualReport:
 def multiplicity(field: VectorField, phi: FormalCurve) -> int:
     """Order of g in X o phi = g phi'; invariant under blow-ups.
 
-    Divides along the phi' component of least valuation, the last one on a
-    tie, and cross-checks the other components, so a curve that is not
-    actually invariant is rejected.  On a graph curve the tie goes to
-    phi3' = 1, which divides without a scalar inverse.
+    On an invariant curve g = (X_p o phi) / phi_p' along the pivot p, the
+    phi' component of least valuation (the last one on a tie, phi3' = 1 on a
+    graph curve), so its order is val(X_p o phi) - val(phi_p'), read with no
+    division.  The curve is invariant when the residual through the pivot
+    vanishes through its ledger; otherwise NotASeparatrix is raised.
     """
     return _multiplicity(*_curve_image(field, phi))
 
 
-def _multiplicity(images, derivs) -> int:
+def _multiplicity(images, derivs, residual: ResidualReport) -> int:
     if all(im.is_zero() for im in images):
         raise ZeroAlongCurve("field vanishes along the curve at this precision")
     vals = [d.valuation() for d in derivs]
     pivot = _pivot(vals)
     if vals[pivot] == INFINITE:
         raise NotASeparatrix("curve is constant at this precision")
-    if images[pivot].valuation() < vals[pivot]:
+    v = images[pivot].valuation()
+    if v < vals[pivot]:
         raise NotASeparatrix("image valuation below the parameter derivative")
-    g = images[pivot].divide(derivs[pivot])
-    for j in range(3):
-        if j == pivot:
-            continue
-        if not (g * derivs[j]).eq_trusted(images[j]):
-            raise NotASeparatrix(
-                f"component {j} fails the cross-check X o phi = g phi'"
-            )
-    v = g.valuation()
-    if v == INFINITE:
+    if not residual.full:
+        raise NotASeparatrix(
+            f"invariance residual vanishes only through degree {residual.order}"
+        )
+    if v > min(images[pivot].trunc, derivs[pivot].trunc):
         raise ZeroAlongCurve("g vanishes at this precision")
-    return int(v)
+    return int(v - vals[pivot])
 
 
 # ---------------------------------------------------------------------------

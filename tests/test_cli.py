@@ -274,6 +274,52 @@ def test_resolve_separatrix_file_round_trip(tmp_path, capsys):
     assert loaded["report"] == solved["report"]
 
 
+DIVISOR_FIELD = "[y*z - z^2, x*z^2, z^4]"
+
+
+@pytest.mark.parametrize(
+    "flip, code, message",
+    [
+        (20, 3, "separatrix residual vanishes only through degree 19"),
+        (21, 3, "separatrix residual vanishes only through degree 20"),
+        (22, 0, None),
+    ],
+)
+def test_resolve_checks_the_residual_of_the_representative(tmp_path, capsys, flip, code, message):
+    # the field is z rep, and the check reads the residual of rep along the
+    # file's curve: rep's solved separatrix (ledger 22) with y_of_z[flip]
+    # moved by 1.  That residual is known through degree 21, so a flip at 21
+    # shows at its degree 20; the residual of z rep cut to the curve's ledger
+    # misses it.  The degree printed is counted in rep
+    from folres.errors import FolresError
+    from folres.resolve import resolve_along
+    from folres.separatrix import FormalCurve, solve_graph_separatrix
+    from folres.series import USeries
+    from folres.vfield import factor_divisor
+
+    field = parse_field(DIVISOR_FIELD, 24)
+    k, rep = factor_divisor(field, "z")
+    solved = solve_graph_separatrix(rep, rep.trunc - 1)
+    assert (k, solved.ledger) == (1, 22)
+    y_of_z = list(solved.phi2.coeffs)
+    y_of_z[flip] += GaussianRational(1)
+    curve = FormalCurve.graph(solved.phi1, USeries(y_of_z, 22))
+    path = tmp_path / "curve.json"
+    path.write_text(
+        json.dumps({"x_of_z": [str(c) for c in curve.phi1.coeffs], "y_of_z": [str(c) for c in y_of_z]})
+    )
+    argv = ["resolve", DIVISOR_FIELD, "--separatrix", "file", "--separatrix-file", str(path)]
+    found, out = run_cli(argv, capsys)
+    assert found == code
+    if message is None:
+        assert json.loads(out)["outcome"] == "persistent_normal_form_matched"
+        return
+    assert json.loads(out) == {"error": "FolresError", "message": message}
+    with pytest.raises(FolresError) as exc:
+        resolve_along(field, curve, 3)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [["0", "1/0"], ["0", "x"], ["0", "1.5"], ["0", None], []],
@@ -404,9 +450,9 @@ def test_resolve_composes_each_step_image_once(argv, steps, capsys, monkeypatch)
 def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
     # the solved curve, the residual check and the first step read one
     # factor-divisor representative of the input field.  Every z^k factoring
-    # is counted: one per field, the input's and each of the two later
-    # steps', which the step's image and detect share; the blow-ups' chart
-    # division, a different field, is not
+    # is counted: the input's, and none at the two later steps, whose
+    # blow-up has already divided its field by the divisor (that chart
+    # division, a different field, is not counted)
     import folres.cli
     import folres.resolve
     import folres.vfield
@@ -423,7 +469,7 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
     code, out = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
     assert code == 0
     assert len(json.loads(out)["steps"]) == 3
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_resolve_solves_one_separatrix_per_run(capsys, monkeypatch):

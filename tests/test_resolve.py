@@ -449,14 +449,18 @@ class TestOneCurveImagePerStep:
         X = field_xlambda(1)
         trace = resolve_along(X, solve_graph_separatrix(X, 20), 4)
         field, curve = trace.final_field, trace.final_curve
-        images, derivs = _curve_image(factor_divisor(field, "z")[1], curve)
+        images, derivs, residual = _curve_image(factor_divisor(field, "z")[1], curve)
         monkeypatch.setattr("folres.resolve.solve_graph_separatrix", _refuse_solve)
-        report = detect_persistent_normal_form(field, curve=curve, _image=(images, derivs))
+        report = detect_persistent_normal_form(
+            field, curve=curve, _image=(images, derivs, residual)
+        )
         target = report.separatrix_prefix.ledger
         assert min(im.trunc for im in images) == target
         short = [im.retrunc(target - 1) for im in images]
         with pytest.raises(NoNormalFormMatch) as exc:
-            detect_persistent_normal_form(field, curve=curve, _image=(short, derivs))
+            detect_persistent_normal_form(
+                field, curve=curve, _image=(short, derivs, residual)
+            )
         assert str(exc.value) == (
             f"carried curve is known through degree {target - 1}, the match needs {target}"
         )
@@ -557,15 +561,67 @@ class TestOneCurveImagePerStep:
         assert sum(s.report is not None for t, _ in runs for s in t.steps) == 37
 
 
+def _blown_up_steps(field, curve, steps):
+    """(field, curve, image) of every driver step after the first: the field
+    where the step classifies it, after the blow-up, translation and tangent
+    shear, and the curve and image the step carried there."""
+    import folres.resolve
+
+    fields, carried = [], []
+
+    def recorded(f):
+        fields.append(f)
+        return classify(f)
+
+    def transported(image, moved, new_curve, s, trunc):
+        carried.append((new_curve, _transport_image(image, moved, new_curve, s, trunc)))
+        return carried[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folres.resolve, "classify", recorded)
+        mp.setattr(folres.resolve, "_transport_image", transported)
+        trace = resolve_along(field, curve, steps)
+    assert len(fields) == len(trace.steps) == len(carried) + 1 >= 2
+    return [(f, c, image) for f, (c, image) in zip(fields[1:], carried)]
+
+
+class TestNoDivisorAfterABlowUp:
+    """The driver factors z^k out of its input only: each blow-up divides its
+    field by the divisor, and the translation and tangent shear fix z.  So
+    each later step's field is its own factor-divisor representative, and the
+    image the step carries is that field's composed along its curve."""
+
+    @staticmethod
+    def _check(field, curve, steps):
+        for f, c, image in _blown_up_steps(field, curve, steps):
+            assert factor_divisor(f, "z")[0] == 0
+            assert _image_key(image) == _image_key(_curve_image(f, c))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(0, 2))
+    def test_soak_fields_times_a_divisor(self, seed, k):
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 16)
+        field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, k), 16))
+        self._check(field, solve_graph_separatrix(X, 15), 3)
+
+    def test_xlambda_walk_and_the_shift_path(self):
+        X = field_xlambda(1)
+        self._check(X, solve_graph_separatrix(X, 20), 5)
+        self._check(*_shift_path_case(), 3)
+
+
 def _image_key(image):
-    return [(c.coeffs, c.trunc) for part in image for c in part]
+    images, derivs, residual = image
+    return [(c.coeffs, c.trunc) for c in images + derivs], residual
 
 
 def _transport_and_compare(field, curve, steps, shear):
     """Run `steps` driver steps by hand, transport the image through each,
     and compare it with the composition of the step's factor-divisor
-    representative along its curve.  Returns how many steps translated the
-    origin (the shift path)."""
+    representative along its curve, the transported residual with the
+    recomposed one.  Returns how many steps translated the origin (the shift
+    path)."""
     chart = point_chart("z")
     k, rep = factor_divisor(field, "z")
     image = _curve_image(rep, curve)

@@ -17,11 +17,8 @@ from folres.series import MSeries, USeries, compose_curve, convolve
 from folres.separatrix import (
     FormalCurve,
     _Composer,
-    _curve_image,
     _deriv_conv,
     _product_coeff,
-    _residual,
-    _shift_image,
     invariance_residual,
     multiplicity,
     solve_graph_separatrix,
@@ -32,7 +29,6 @@ from folres.vfield import (
     PolyMap,
     VectorField,
     conjugate,
-    factor_divisor,
     nilpotent_normal_form_full,
 )
 
@@ -78,42 +74,6 @@ class TestInvarianceResidual:
         rep = invariance_residual(X, diag)
         assert not rep.full
         assert rep.order == 0
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        k=st.integers(0, 2),
-        ledger=st.integers(1, 20),
-        perturb=st.booleans(),
-    )
-    def test_shifted_representative_image_gives_the_field_residual(
-        self, seed, k, ledger, perturb
-    ):
-        # X = z^k rep along a graph curve: the solved separatrix cut to a
-        # random ledger (random coefficients past degree 14), optionally
-        # perturbed at one degree; T^k (rep o phi) cut to
-        # min(field.trunc, curve.ledger) is X o phi and gives its residual
-        rng = random.Random(seed)
-        X, _, _ = rand_normal_form(rng, 16)
-        field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, k), 16))
-        solved = solve_graph_separatrix(X, 14)
-        comps = [
-            list(c.coeffs[: ledger + 1]) + [rand_scalar(rng) for _ in range(ledger - 14)]
-            for c in (solved.phi1, solved.phi2)
-        ]
-        if perturb:
-            comps[rng.randrange(2)][rng.randint(1, ledger)] += rand_scalar(rng) or ONE
-        curve = FormalCurve.graph(USeries(comps[0], ledger), USeries(comps[1], ledger))
-        e, rep = factor_divisor(field, "z")
-        assert e == k
-        images, derivs = _shift_image(
-            _curve_image(rep, curve), k, min(field.trunc, curve.ledger)
-        )
-        direct, _ = _curve_image(field, curve)
-        assert [(im.coeffs, im.trunc) for im in images] == [
-            (im.coeffs, im.trunc) for im in direct
-        ]
-        assert _residual(images, derivs) == invariance_residual(field, curve)
 
 
 class TestMultiplicity:
