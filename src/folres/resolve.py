@@ -209,28 +209,30 @@ def resolve_along(
     a normal-form match, when stop_on_match is set) and reports whether the
     final point matches the persistent normal form.
 
-    Once a step has matched, each later blow-up is followed by the tangent
-    shear (x, y, z) -> (x + a1 z, y + b1 z, z) of `straighten`, applied to
-    the recentered field and curve: a z-chart blow-up lowers the curve's
-    contact with the z-axis by one, and the shear restores normal-form
-    coordinates without changing n, lambda or k.
+    Each blow-up is followed by one coordinate move, `straighten` of the
+    blown-up field along the moved curve: (x, y, z) -> (x + c1, y + c2, z)
+    takes the curve's point (c1, c2, 0) to the origin, and once a step has
+    matched it is (x + c1 + a1 z, y + c2 + b1 z, z), which also takes out
+    the tangent (a1, b1): a z-chart blow-up lowers the curve's contact with
+    the z-axis by one, and the shear restores normal-form coordinates
+    without changing n, lambda or k.  The curve must have phi3 = T: any
+    other raises NotGraph at the first blow-up.
 
     The field is composed along the curve once per run: the first step
     composes the factor-divisor representative rep = field / z^k along
     `phi` (`_factored` is factor_divisor(field, "z") when the caller has it),
     and raises FolresError when the invariance residual of that image does
     not vanish through its ledger.  Every later step carries the image,
-    residual included, through the blow-up, translation and shear with
+    residual included, through the blow-up and the move with
     `separatrix._transport_image`, so it is never composed again.  The
-    blow-up has factored the divisor out of its field, and the translation
-    and shear fix z, so no later step factors z^k.  Each step reads the
+    blow-up has factored the divisor out of its field, and the move fixes
+    z, so no later step factors z^k.  Each step reads the
     multiplicity from its image and hands image, factoring and curve to
     `detect_persistent_normal_form`, which certifies the carried curve from
     the residual or names the check it fails; the driver never solves the
-    separatrix.  A step whose transport failed (as on a curve whose phi3 is
-    not T) has no image: it records no multiplicity, and detection composes
-    the image itself.  A curve off the origin raises at the first
-    composition.
+    separatrix.  A step whose transport failed has no image: it records no
+    multiplicity, and detection composes the image itself.  A curve off the
+    origin raises at the first composition.
     """
     steps = []
     current = field
@@ -290,14 +292,7 @@ def resolve_along(
             raise PrecisionExhausted(f"blow-up step {len(steps)}: {short}")
         result = point_blowup(current, chart)
         moved = transform_curve(curve, chart)
-        recentered, consts = moved.recenter()
-        if consts[0] or consts[1]:
-            current = result.vf.shift_origin((consts[0], consts[1], 0))
-        else:
-            current = result.vf
-        curve = recentered
-        if matched and curve.graph_over_z:
-            current, curve = straighten(current, curve, 1)
+        current, curve = straighten(result.vf, moved, int(matched))
         k_old = factored[0]
         factored = (0, current)
         if image is not None:

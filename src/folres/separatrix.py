@@ -54,8 +54,8 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve, mul_terms, var_index
-from .vfield import PolyMap, VectorField, conjugate
+from .series import INFINITE, MSeries, USeries, compose_curve, mul_terms, substitute_terms, var_index
+from .vfield import VectorField
 
 
 @dataclass(frozen=True)
@@ -102,23 +102,6 @@ class FormalCurve:
     def constants(self):
         return tuple(c.coeffs[0] for c in self.components)
 
-    def recenter(self) -> tuple["FormalCurve", tuple]:
-        """Split off the constant terms; returns (origin-based curve, point)."""
-        consts = self.constants()
-        comps = []
-        for c, c0 in zip(self.components, consts):
-            if c0:
-                coeffs = list(c.coeffs)
-                coeffs[0] = ZERO
-                comps.append(USeries(coeffs, c.trunc))
-            else:
-                comps.append(c)
-        graph = _is_param_identity(comps[2])
-        return (
-            FormalCurve(comps[0], comps[1], comps[2], graph, self.parameter_power),
-            consts,
-        )
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -148,17 +131,17 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
     the field before and after the step, and the residual is read from the
     transported images and curve'.
 
-    `moved` is transform_curve(phi, chart) before `recenter`, psi below, and
-    its third component must be T.  The chart's pullback of z^k_old rep,
-    taken along psi, is T^k_old ((I1 - psi1 I3)/T, (I2 - psi2 I3)/T, I3).
-    The blow-up divides it by z^e and the step's factoring by z^k_new, so
-    that triple, J, is divided by T^s with s = e - k_old + k_new; the driver
-    passes s = e - k on its first blow-up and s = e after it, since the
-    blow-up leaves no z-divisor to factor (k_new = 0).  The field
-    is then moved by the translation and tangent shear
-    (x, y, z) -> (x + c1 + a1 z, y + c2 + b1 z, z) that take `moved` to
-    `curve`, read from the two curves: the translation leaves the image
-    unchanged, and the shear maps it to (J1 - a1 J3, J2 - b1 J3, J3).
+    `moved` is transform_curve(phi, chart), psi below, and its third
+    component must be T; `curve` is what `straighten` returns for it.  The
+    chart's pullback of z^k_old rep, taken along psi, is
+    T^k_old ((I1 - psi1 I3)/T, (I2 - psi2 I3)/T, I3).  The blow-up divides
+    it by z^e and the step's factoring by z^k_new, so that triple, J, is
+    divided by T^s with s = e - k_old + k_new; the driver passes s = e - k
+    on its first blow-up and s = e after it, since the blow-up leaves no
+    z-divisor to factor (k_new = 0).  The field is then moved by
+    straighten's H = (x + c1 + a1 z, y + c2 + b1 z, z), with a1 and b1 the
+    degree-1 change from `moved` to `curve` (zero when the move is only a
+    translation), which maps the image to (J1 - a1 J3, J2 - b1 J3, J3).
 
     The products psi_v I3 take the valuation-aware ledger of
     `_minus_product`.  The result is cut to min(trunc, curve.ledger), trunc
@@ -199,9 +182,8 @@ def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
     factors (`mul_terms`), and only its nonzero entries are subtracted."""
     va, vb = (min(s.valuation(), s.trunc + 1) for s in (a, b))
     t = min(u.trunc, a.trunc + vb, b.trunc + va)
-    a_terms, b_terms = ({(n, 0, 0): c for n, c in enumerate(s.coeffs) if c} for s in (a, b))
     out = list(u.coeffs[: t + 1])
-    for (n, _, _), c in mul_terms(a_terms, b_terms, t).items():
+    for (_, _, n), c in mul_terms(_z_terms(a), _z_terms(b), t).items():
         out[n] = out[n] - c
     return USeries(out, t)
 
@@ -578,30 +560,43 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
 
 
 def straighten(field: VectorField, phi: FormalCurve, m: int):
-    """Conjugate so the degree-m truncation of the curve becomes the z-axis.
+    """Move field and curve by H = (x + a(z), y + b(z), z), a and b the
+    curve's graph series cut at degree m, constant terms included, so that
+    the degree-m truncation of the curve becomes the z-axis.
 
-    Uses the shift (x, y, z) -> (x + a_m(z), y + b_m(z), z) built from the
-    curve's graph series; the returned curve has contact > m with the z-axis
-    and dg/dx at the origin is unchanged.
+    DH^-1 = [[1, 0, -a'], [0, 1, -b'], [0, 0, 1]], so the field (F, G, K)
+    moves to (F o H - a' (K o H), G o H - b' (K o H), K o H): one
+    substitution per component, which trusts the field as exact polynomial
+    content as `shift_origin` does when a or b has a constant term, and
+    exact a', b', so the field keeps its ledger.  The curve moves to
+    (phi1 - a, phi2 - b, T), with contact > m with the z-axis, and dg/dx at
+    the origin is unchanged.  With m = 0 this is the translation to the
+    curve's point.  Field and curve are returned unchanged when a = b = 0.
+    Raises NotGraph unless phi3 = T.
     """
-    if not phi.graph_over_z:
-        raise NotGraph("straighten needs a graph over z")
+    if not _is_param_identity(phi.phi3):
+        raise NotGraph("straighten needs a curve with phi3 = T")
     if m > field.trunc:
         raise ValueError("m exceeds the field ledger")
+    a, b = (USeries(s.coeffs[: m + 1], m) for s in (phi.phi1, phi.phi2))
+    if a.is_zero() and b.is_zero():
+        return field, phi
     t = field.trunc
-    a_m = _useries_to_z_poly(phi.phi1, m, t)
-    b_m = _useries_to_z_poly(phi.phi2, m, t)
-    cmap = PolyMap(
-        (
-            MSeries.variable("x", t) + a_m,
-            MSeries.variable("y", t) + b_m,
-            MSeries.variable("z", t),
-        )
-    )
-    moved = conjugate(field, cmap)
-    new_a = _zero_through(phi.phi1, m)
-    new_b = _zero_through(phi.phi2, m)
-    return moved, FormalCurve.graph(new_a, new_b)
+    subs = ({(1, 0, 0): ONE, **_z_terms(a)}, {(0, 1, 0): ONE, **_z_terms(b)}, {(0, 0, 1): ONE})
+    fx, fy, fz = (MSeries(substitute_terms(c.terms, subs, t), t) for c in field.components)
+    if m:
+        sheared = []
+        for f, s in ((fx, a), (fy, b)):
+            d = _z_terms(s.derivative())
+            sheared.append(f - MSeries(mul_terms(d, fz.terms, t), t) if d else f)
+        fx, fy = sheared
+    curve = FormalCurve.graph(_zero_through(phi.phi1, m), _zero_through(phi.phi2, m))
+    return VectorField(fx, fy, fz), curve
+
+
+def _z_terms(s: USeries) -> dict:
+    """The term dict of s(z)."""
+    return {(0, 0, k): c for k, c in enumerate(s.coeffs) if c}
 
 
 def _zero_through(s: USeries, m: int) -> USeries:
@@ -609,14 +604,6 @@ def _zero_through(s: USeries, m: int) -> USeries:
     return USeries(
         [ZERO if k <= m else s.coeffs[k] for k in range(s.trunc + 1)], s.trunc
     )
-
-
-def _useries_to_z_poly(s: USeries, m: int, trunc: int) -> MSeries:
-    terms = {}
-    for k in range(min(m, s.trunc) + 1):
-        if s.coeffs[k] and k <= trunc:
-            terms[(0, 0, k)] = s.coeffs[k]
-    return MSeries(terms, trunc)
 
 
 def _is_param_identity(s: USeries) -> bool:

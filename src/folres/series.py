@@ -22,8 +22,9 @@ must read that as "at least trunc + 1".
 
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
 product and ``substitute_terms`` the one substitution, behind
-``MSeries.substitute`` (the shears), ``MSeries.shift_origin`` and
-``compose_curve``, which reads each curve component as a series in x alone.
+``MSeries.substitute``, ``MSeries.shift_origin``, the driver's coordinate
+move ``separatrix.straighten`` and ``compose_curve``, which reads each curve
+component as a series in x alone.
 ``convolve`` is the dense product of ``USeries``.
 """
 
@@ -476,8 +477,9 @@ class MSeries:
         """s(x + c1, y + c2, z + c3) for scalar shifts.
 
         Trusts the stored coefficients as exact: a constant shift folds high
-        degrees down, so this is only meaningful for polynomial content (the
-        resolution driver translates blow-up transforms of polynomial germs).
+        degrees down, so this is only meaningful for polynomial content (as
+        in `separatrix.straighten`, which translates blow-up transforms of
+        polynomial germs by the same rule).
         The ledger is kept: no term's image rises above the term's degree.
         """
         subs = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folres.blowup import point_blowup, point_chart
-from folres.errors import PrecisionExhausted
+from folres.errors import NotGraph, PrecisionExhausted
 from folres.resolve import (
     INCONCLUSIVE,
     MAX_STEPS_EXHAUSTED,
@@ -150,6 +150,15 @@ class TestResolveAlong:
             curve = solve_graph_separatrix(X, degree)
             with pytest.raises(PrecisionExhausted, match=message):
                 resolve_along(X, curve, 12)
+
+    def test_a_curve_not_a_graph_over_z_raises_at_the_first_blow_up(self):
+        # (0, 0, 2T) is invariant, so step 0 is recorded; the blow-up's move
+        # needs phi3 = T
+        X = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 3): 1}, 12)
+        curve = FormalCurve(USeries.zero(11), USeries.zero(11), USeries.monomial(2, 1, 11))
+        assert len(resolve_along(X, curve, 0).steps) == 1
+        with pytest.raises(NotGraph, match="phi3 = T"):
+            resolve_along(X, curve, 2)
 
 
 class TestPersistenceUnderBlowup:
@@ -531,7 +540,7 @@ class TestOneCurveImagePerStep:
         # curve it carries, and its report (or reason) is the one a solve of
         # that step's field gives: soak normal forms times z^k, the X_lambda
         # walk through its tangency-1 step and the shear, and a walk whose
-        # second step translates the origin (`shift_origin`)
+        # second step translates the origin
         rng = random.Random(315)
         cases = []
         for i in range(8):
@@ -631,13 +640,8 @@ def _transport_and_compare(field, curve, steps, shear):
             break
         result = point_blowup(field, chart)
         moved = transform_curve(curve, chart)
-        curve, consts = moved.recenter()
-        field = result.vf
-        if consts[0] or consts[1]:
-            field = field.shift_origin((consts[0], consts[1], 0))
-            shifts += 1
-        if shear and curve.graph_over_z:
-            field, curve = straighten(field, curve, 1)
+        shifts += any(moved.constants())
+        field, curve = straighten(result.vf, moved, int(shear))
         k_old = k
         k, rep = factor_divisor(field, "z")
         image = _transport_image(image, moved, curve, result.divisor_exponent - k_old + k, rep.trunc)

@@ -405,7 +405,7 @@ class TestTransformCurve:
             b = USeries.monomial(rand_scalar(rng, 2, 1), k0 + 1, 14)
             curve = FormalCurve.graph(a, b)
             assert curve.tangency_bound() == k0
-            out, _ = transform_curve(curve, point_chart("z")).recenter()
+            out = transform_curve(curve, point_chart("z"))
             assert out.tangency_bound() == k0 - 1
 
     def test_axis_lifts_under_weight2(self):
@@ -430,10 +430,12 @@ class TestTransformCurve:
     )
     def test_strict_transform_is_invariant(self, blowup, chart):
         # the separatrix of [y - z, x*z, z^3], moved into the chart and
-        # recentred, is a separatrix of the transformed field through the ledger
+        # translated to the origin, is a separatrix of the transformed field
+        # through the ledger
         X = parse_field("[y - z, x*z, z^3]", 24)
-        curve, point = transform_curve(solve_graph_separatrix(X, 23), chart).recenter()
-        moved = blowup(X, chart).vf.shift_origin(point)
+        psi = transform_curve(solve_graph_separatrix(X, 23), chart)
+        assert any(psi.constants())
+        moved, curve = straighten(blowup(X, chart).vf, psi, 0)
         report = invariance_residual(moved, curve)
         assert (report.order, report.ledger) == (21, 21)
 
@@ -442,7 +444,43 @@ class TestStraighten:
     def test_zero_curve_is_identity(self):
         X = field_xlambda(1)
         out, _ = straighten(X, FormalCurve.z_axis(20), 8)
-        assert out.eq_trusted(X)
+        assert out is X
+
+    @staticmethod
+    def _translate_then_conjugate(field, curve, m):
+        # the translation to the curve's point, then the general conjugation
+        # by the graph shear (x + a_1..m(z), y + b_1..m(z), z)
+        a, b = curve.phi1, curve.phi2
+        out = field.shift_origin((a.coeffs[0], b.coeffs[0], 0))
+        if m:
+            x, y, z = (MSeries.variable(v, field.trunc) for v in "xyz")
+            za, zb = (
+                MSeries({(0, 0, k): s.coeffs[k] for k in range(1, m + 1)}, field.trunc)
+                for s in (a, b)
+            )
+            out = conjugate(out, PolyMap((x + za, y + zb, z)))
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(0, 3))
+    def test_equals_translation_then_conjugation(self, seed, m):
+        rng = random.Random(seed)
+        X, _, _ = rand_normal_form(rng, 12)
+        # a graph curve through a point off the origin: a(0) != 0
+        ledger = rng.randint(3, 10)
+        a, b = (
+            USeries([rand_scalar(rng) for _ in range(ledger + 1)], ledger) for _ in range(2)
+        )
+        a = USeries((rand_scalar(rng) or gr(1),) + a.coeffs[1:], ledger)
+        curve = FormalCurve.graph(a, b)
+        out, new = straighten(X, curve, m)
+        ref = self._translate_then_conjugate(X, curve, m)
+        assert out.trunc == X.trunc
+        assert ref.trunc == (X.trunc if m <= 1 else X.trunc - 1)
+        assert out.eq_trusted(ref)
+        assert [(c.coeffs, c.trunc) for c in new.components] == [
+            ((ZERO,) * (m + 1) + s.coeffs[m + 1 :], ledger) for s in (a, b)
+        ] + [(USeries.identity(ledger).coeffs, ledger)]
 
     def test_xlambda_contact_exceeds_m(self):
         X = field_xlambda(1)
