@@ -32,7 +32,8 @@ graded-lex printer.
 
 The descent works on plain ``{(i, j, k): GaussianRational}`` term dicts,
 truncated at ``trunc`` and free of zero coefficients at every step, and
-builds one ``MSeries`` per component at the end.
+builds one ``MSeries`` per component at the end, through ``MSeries._clean``
+as both readers' dicts are clean.
 """
 
 from __future__ import annotations
@@ -193,7 +194,16 @@ def _read_printed(src: str, trunc: int):
 
 
 def _field(comps: list, trunc: int) -> VectorField:
-    return VectorField(*(MSeries(c, trunc) for c in comps))
+    """The field of three term dicts that both readers leave clean."""
+    return VectorField(*(_series(c, trunc) for c in comps))
+
+
+def _series(terms: dict, trunc: int) -> MSeries:
+    """The series of a clean term dict; a negative trunc is refused as the
+    public ``MSeries`` refuses it."""
+    if trunc < 0:
+        raise ValueError("trunc must be non-negative")
+    return MSeries._clean(terms, trunc)
 
 
 class _Parser:
@@ -298,7 +308,7 @@ def parse_series(src: str, trunc: int) -> MSeries:
     p = _Parser(src, trunc)
     out = p.parse_expr()
     p.take("end")
-    return MSeries(out, trunc)
+    return _series(out, trunc)
 
 
 def format_field(field: VectorField) -> str:

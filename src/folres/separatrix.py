@@ -583,12 +583,12 @@ def straighten(field: VectorField, phi: FormalCurve, m: int):
         return field, phi
     t = field.trunc
     subs = ({(1, 0, 0): ONE, **_z_terms(a)}, {(0, 1, 0): ONE, **_z_terms(b)}, {(0, 0, 1): ONE})
-    fx, fy, fz = (MSeries(substitute_terms(c.terms, subs, t), t) for c in field.components)
+    fx, fy, fz = (MSeries._clean(substitute_terms(c.terms, subs, t), t) for c in field.components)
     if m:
         sheared = []
         for f, s in ((fx, a), (fy, b)):
             d = _z_terms(s.derivative())
-            sheared.append(f - MSeries(mul_terms(d, fz.terms, t), t) if d else f)
+            sheared.append(f - MSeries._clean(mul_terms(d, fz.terms, t), t) if d else f)
         fx, fy = sheared
     curve = FormalCurve.graph(_zero_through(phi.phi1, m), _zero_through(phi.phi2, m))
     return VectorField(fx, fy, fz), curve

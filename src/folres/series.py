@@ -20,6 +20,17 @@ Coefficients above the ledger are never stored.  ``valuation`` returns
 ``INFINITE`` (``math.inf``) when every trusted coefficient vanishes; callers
 must read that as "at least trunc + 1".
 
+The term dict of an ``MSeries`` is clean: its values are
+``GaussianRational``, none is zero, and every monomial has total degree at
+most ``trunc``.  No code changes it after construction, so series share
+dicts freely.  The public ``MSeries(terms, trunc)`` copies and checks any
+input into that form; ``MSeries._clean`` stores a dict that is already clean
+as it is, and builds every result that is clean by construction: products,
+substitutions, scalings, negations, divisions, derivatives, the inverse of a
+unit, sums and monomial substitutions after dropping cancelled terms,
+``retrunc`` after dropping the terms above the new ledger, and the term
+dicts of the parser and of ``separatrix.straighten``.
+
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
 product and ``substitute_terms`` the one substitution, behind
 ``MSeries.substitute``, ``MSeries.shift_origin``, the driver's coordinate
@@ -58,6 +69,7 @@ def var_index(v) -> int:
 
 
 _coerce_scalar = GaussianRational.coerce
+_new = object.__new__
 
 
 def convolve(a, b, t: int) -> list:
@@ -286,6 +298,8 @@ class MSeries:
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms, trunc: int):
+        """A series from any ``{(i, j, k): coefficient}`` mapping: coefficients
+        are coerced, and zeros and terms above ``trunc`` are dropped."""
         if trunc < 0:
             raise ValueError("trunc must be non-negative")
         clean = {}
@@ -298,6 +312,16 @@ class MSeries:
                 clean[(i, j, k)] = c
         self.terms = clean
         self.trunc = trunc
+
+    @staticmethod
+    def _clean(terms: dict, trunc: int) -> "MSeries":
+        """The series of a dict that is already clean (``GaussianRational``
+        values, no zero, no monomial above ``trunc``), stored without a copy
+        or a check, as ``scalars._make`` stores a canonical triple."""
+        s = _new(MSeries)
+        s.terms = terms
+        s.trunc = trunc
+        return s
 
     # -- constructors -----------------------------------------------------------
 
@@ -346,37 +370,43 @@ class MSeries:
 
     def retrunc(self, trunc: int) -> "MSeries":
         """The series cut at ``trunc``; itself at its own ledger, as no code
-        changes a series' terms."""
+        changes a series' terms.  A cut of a clean dict is clean once the
+        terms above ``trunc`` are dropped, so it is built by ``_clean``."""
         if trunc == self.trunc:
             return self
         if trunc > self.trunc:
             raise ValueError("cannot raise a truncation ledger")
-        return MSeries(self.terms, trunc)
+        if trunc < 0:
+            raise ValueError("trunc must be non-negative")
+        return MSeries._clean(
+            {m: c for m, c in self.terms.items() if m[0] + m[1] + m[2] <= trunc}, trunc
+        )
 
     # -- ring operations -----------------------------------------------------------
 
     def __add__(self, other: "MSeries") -> "MSeries":
         t = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return MSeries(out, t)
+        out = dict(self.retrunc(t).terms)
+        for m, c in other.retrunc(t).terms.items():
+            cur = out.get(m)
+            out[m] = c if cur is None else cur + c
+        return MSeries._clean({m: c for m, c in out.items() if c}, t)
 
     def __sub__(self, other: "MSeries") -> "MSeries":
         return self + (-other)
 
     def __neg__(self) -> "MSeries":
-        return MSeries({m: -c for m, c in self.terms.items()}, self.trunc)
+        return MSeries._clean({m: -c for m, c in self.terms.items()}, self.trunc)
 
     def scale(self, c) -> "MSeries":
         c = _coerce_scalar(c)
         if not c:
             return MSeries.zero(self.trunc)
-        return MSeries({m: c * a for m, a in self.terms.items()}, self.trunc)
+        return MSeries._clean({m: c * a for m, a in self.terms.items()}, self.trunc)
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         t = min(self.trunc, other.trunc)
-        return MSeries(mul_terms(self.terms, other.terms, t), t)
+        return MSeries._clean(mul_terms(self.terms, other.terms, t), t)
 
     # -- derivations and divisions ---------------------------------------------------
 
@@ -392,7 +422,7 @@ class MSeries:
                 nm = list(m)
                 nm[vi] = e - 1
                 out[tuple(nm)] = c * e
-        return MSeries(out, self.trunc - 1)
+        return MSeries._clean(out, self.trunc - 1)
 
     def divide_by_variable(self, v, e: int = 1) -> "MSeries":
         """Exact division by v^e; ledger drops by e."""
@@ -407,7 +437,7 @@ class MSeries:
             out[tuple(nm)] = c
         if self.trunc < e:
             raise NotDivisible(divisor, "ledger exhausted")
-        return MSeries(out, self.trunc - e)
+        return MSeries._clean(out, self.trunc - e)
 
     def variable_multiplicity(self, v) -> int:
         """Largest e with v^e dividing every trusted term (0 for the zero series)."""
@@ -448,7 +478,7 @@ class MSeries:
                     out[m] = val
                     level.append((m, val))
             out_by_degree[d] = level
-        return MSeries(out, self.trunc)
+        return MSeries._clean(out, self.trunc)
 
     # -- substitution -----------------------------------------------------------------
 
@@ -458,20 +488,23 @@ class MSeries:
         if any(s.constant_term() for s in subs):
             raise NonzeroConstantTerm("substituted series has a constant term")
         t = min([self.trunc] + [s.trunc for s in subs])
-        return MSeries(substitute_terms(self.terms, [s.terms for s in subs], t), t)
+        return MSeries._clean(substitute_terms(self.terms, [s.terms for s in subs], t), t)
 
     def substitute_monomials(self, monos) -> "MSeries":
-        """Fast path: substitute a monomial (coeff 1) for each variable."""
+        """Substitute a monomial with coefficient 1 for each variable: the
+        exponent triple of x^i y^j z^k becomes i * monos[0] + j * monos[1]
+        + k * monos[2], three dot products with the matrix read once.
+        Images above the ledger are dropped, and coefficients that meet on
+        one image are summed, dropping those that cancel."""
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = monos
+        t = self.trunc
         out = {}
         for (i, j, k), c in self.terms.items():
-            m0 = [0, 0, 0]
-            for e, mono in zip((i, j, k), monos):
-                for vi, p in enumerate(mono):
-                    m0[vi] += e * p
-            if sum(m0) <= self.trunc:
-                key = tuple(m0)
-                out[key] = out.get(key, ZERO) + c
-        return MSeries(out, self.trunc)
+            m = (i * a0 + j * b0 + k * c0, i * a1 + j * b1 + k * c1, i * a2 + j * b2 + k * c2)
+            if m[0] + m[1] + m[2] <= t:
+                cur = out.get(m)
+                out[m] = c if cur is None else cur + c
+        return MSeries._clean({m: c for m, c in out.items() if c}, t)
 
     def shift_origin(self, shifts) -> "MSeries":
         """s(x + c1, y + c2, z + c3) for scalar shifts.
@@ -486,7 +519,7 @@ class MSeries:
         for mono, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), shifts):
             c = _coerce_scalar(c)
             subs.append({mono: ONE, (0, 0, 0): c} if c else {mono: ONE})
-        return MSeries(substitute_terms(self.terms, subs, self.trunc), self.trunc)
+        return MSeries._clean(substitute_terms(self.terms, subs, self.trunc), self.trunc)
 
     # -- evaluation -----------------------------------------------------------------
 

@@ -18,9 +18,13 @@ from .series import INFINITE, MSeries, VARS, var_index
 
 
 class VectorField:
-    """Components along d/dx, d/dy, d/dz with a shared ledger."""
+    """Components along d/dx, d/dy, d/dz with a shared ledger.
 
-    __slots__ = ("fx", "fy", "fz", "trunc")
+    A field is never changed after construction, so ``classify`` keeps its
+    result in ``_cls`` and classifies each field once.
+    """
+
+    __slots__ = ("fx", "fy", "fz", "trunc", "_cls")
 
     def __init__(self, fx: MSeries, fy: MSeries, fz: MSeries):
         t = min(fx.trunc, fy.trunc, fz.trunc)
@@ -28,6 +32,7 @@ class VectorField:
         self.fy = fy.retrunc(t)
         self.fz = fz.retrunc(t)
         self.trunc = t
+        self._cls = None
 
     @property
     def components(self):
@@ -106,7 +111,15 @@ class SingularityClass:
 
 
 def classify(field: VectorField) -> SingularityClass:
-    """Regular / elementary / nilpotent-nonzero / zero-linear-part, exactly."""
+    """Regular / elementary / nilpotent-nonzero / zero-linear-part, exactly;
+    computed on the first call for a field and kept on it."""
+    cls = field._cls
+    if cls is None:
+        cls = field._cls = _classify(field)
+    return cls
+
+
+def _classify(field: VectorField) -> SingularityClass:
     lin = LinearPart.of(field)
     triple = lin.invariant_triple()
     if any(c.constant_term() for c in field.components):

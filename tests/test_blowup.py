@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from folres.blowup import (
     point_blowup,
     point_chart,
     weight2_blowup,
+    weight2_chart,
 )
 from folres.errors import (
     CenterNotInvariantOrNotSingular,
@@ -384,3 +386,42 @@ class TestCurveChartGluing:
                         pushed = pushed + jac[r_][c_] * raw_first[c_]
                     assert pushed == raw_second[r_]
             done += 1
+
+
+def _substitute_monomials_reference(s: MSeries, monos) -> MSeries:
+    """Plain-loop reference: each exponent triple maps to the sum of its
+    exponents times the rows of ``monos``."""
+    out = {}
+    for mono, c in s.terms.items():
+        image = [0, 0, 0]
+        for e, row in zip(mono, monos):
+            for vi, p in enumerate(row):
+                image[vi] += e * p
+        if sum(image) <= s.trunc:
+            out[tuple(image)] = out.get(tuple(image), ZERO) + c
+    return MSeries(out, s.trunc)
+
+
+@pytest.mark.parametrize(
+    "monos",
+    [pytest.param(point_chart(d).substitution, id=f"point-{d}") for d in "xyz"]
+    + [
+        pytest.param(curve_chart(a, d).substitution, id=f"curve-{a}-{d}")
+        for a, d in itertools.permutations("xyz", 2)
+    ]
+    + [pytest.param(weight2_chart().substitution, id="weight2")]
+    # the axis permutations of order_wrt_curve, and the other variable orders
+    + [
+        pytest.param(tuple(tuple(int(i == p) for i in range(3)) for p in perm), id="perm-" + "".join(map(str, perm)))
+        for perm in itertools.permutations(range(3))
+    ],
+)
+def test_substitute_monomials_equals_the_plain_loop(monos):
+    rng = random.Random(str(monos))
+    for trunc in (0, 1, 4, 9):
+        for _ in range(20):
+            s = rand_mseries(rng, trunc, maxdeg=6, terms=10)
+            got = s.substitute_monomials(monos)
+            want = _substitute_monomials_reference(s, monos)
+            assert (got.terms, got.trunc) == (want.terms, want.trunc)
+            assert list(got.terms) == list(want.terms)

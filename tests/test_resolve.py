@@ -33,6 +33,7 @@ from folres.separatrix import (
     straighten,
     transform_curve,
 )
+from folres import vfield
 from folres.series import MSeries, USeries
 from folres.vfield import (
     ELEMENTARY,
@@ -102,6 +103,23 @@ class TestResolveAlong:
         assert len(trace.steps) == 5
         assert all(s.cls.tag == "nilpotent_nonzero" for s in trace.steps)
         assert trace.mult_sequence() == (3, 3, 3, 3, 3)
+
+    def test_each_field_is_classified_once(self, monkeypatch):
+        # a step classifies its field in the record, in the blow-up's regular
+        # check and in the normal-form match; classify keeps its result on
+        # the field, so the work runs once per distinct field
+        seen = []
+        work = vfield._classify
+
+        def counted(field):
+            seen.append(field)
+            return work(field)
+
+        monkeypatch.setattr(vfield, "_classify", counted)
+        X = field_xlambda(1)
+        trace = resolve_along(X, solve_graph_separatrix(X, 20), 3)
+        assert len(trace.steps) == 4
+        assert len({id(f) for f in seen}) == len(seen) == 4
 
     def test_elementary_at_step_zero(self):
         X = vf({(1, 0, 0): 1}, {(0, 1, 0): 2}, {(0, 0, 2): 1})

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from folres.errors import (
     InsufficientSupport,
@@ -400,3 +400,56 @@ def test_ratio_estimate_on_solved_divergent_series():
     # factorial-type growth: the slope is clearly positive (geometric gives 0),
     # biased low at short support by the subleading -k term of log k!
     assert rep["gevrey_slope"] > 0.3
+
+
+def _assert_clean(s: MSeries):
+    """The invariant ``MSeries._clean`` trusts: validating the dict again
+    changes nothing, and every value is a canonical scalar."""
+    assert MSeries(s.terms, s.trunc).terms == s.terms
+    assert all(type(c) is GaussianRational for c in s.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_every_operation_returns_a_clean_term_dict(seed):
+    # small coefficients make sums and products cancel, and the two ledgers
+    # differ, so each zero and degree filter is exercised
+    from folres.parsing import format_field, parse_field, parse_series
+    from folres.separatrix import FormalCurve, straighten
+    from folres.vfield import VectorField
+    from conftest import rand_normal_form, rand_scalar
+
+    rng = random.Random(seed)
+    t1, t2 = rng.randint(2, 8), rng.randint(0, 8)
+    a = rand_mseries(rng, t1, maxdeg=6, terms=8)
+    b = rand_mseries(rng, t2, maxdeg=6, terms=8)
+    subs = rand_zero_const_triple(rng, rng.randint(1, 8))
+    e = rng.randint(0, 2)
+    z_e = MSeries.monomial(1, (0, 0, e), t1)
+    unit = MSeries.constant(rand_scalar(rng) or gr(1), t1) + rand_mseries(rng, t1, val=1)
+    monos = tuple(tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(3))
+    results = [
+        a * b, a + b, a - b, a - a, -a, a.scale(rand_scalar(rng)),
+        a.substitute(subs), a.shift_origin([rand_scalar(rng) for _ in range(3)]),
+        (z_e * a).divide_by_variable("z", e), unit.invert_unit(),
+        a.retrunc(rng.randint(0, t1)), a.partial(rng.choice("xyz")),
+        a.substitute_monomials(monos),
+        # x <-> y, then x = y: every term of a - a(y, x, z) cancels
+        (a - a.substitute_monomials(((0, 1, 0), (1, 0, 0), (0, 0, 1)))).substitute_monomials(
+            ((1, 0, 0), (1, 0, 0), (0, 0, 1))
+        ),
+    ]
+    X, _, _ = rand_normal_form(rng, t1)
+    ledger = rng.randint(1, 6)
+    curve = FormalCurve.graph(
+        *(USeries([rand_scalar(rng) for _ in range(ledger + 1)], ledger) for _ in range(2))
+    )
+    moved, _ = straighten(X, curve, rng.randint(0, min(ledger, t1)))
+    results += moved.components
+    F = VectorField(a, b, a * b)
+    printed, text = format_field(F), format_mseries(a)
+    results += parse_field(printed, t1).components
+    results += parse_field(f"[({text})*({format_mseries(b)}), ({text}) - ({text}), x]", t1).components
+    results.append(parse_series(f"({text})^2 - ({text})*({text}) + {format_mseries(b)}", t2))
+    for r in results:
+        _assert_clean(r)
