@@ -412,7 +412,10 @@ def _substitute_monomials_reference(s: MSeries, monos) -> MSeries:
     + [pytest.param(weight2_chart().substitution, id="weight2")]
     # the axis permutations of order_wrt_curve, and the other variable orders
     + [
-        pytest.param(tuple(tuple(int(i == p) for i in range(3)) for p in perm), id="perm-" + "".join(map(str, perm)))
+        pytest.param(
+            tuple(tuple(int(i == p) for i in range(3)) for p in perm),
+            id="perm-" + "".join(map(str, perm)),
+        )
         for perm in itertools.permutations(range(3))
     ],
 )
