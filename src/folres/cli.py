@@ -99,8 +99,9 @@ def cmd_blowup(args) -> dict:
         axis = args.center_axis
         transverse = [v for v in "xyz" if v != axis]
         if args.chart not in transverse:
-            raise ParseError(
-                f"chart must rescale a variable transverse to the {axis}-axis", 0
+            raise FolresError(
+                f"--chart {args.chart} must name a variable transverse to "
+                f"--center-axis {axis} ({' or '.join(transverse)})"
             )
         divisor = next(v for v in transverse if v != args.chart)
         result = curve_blowup(field, curve_chart(axis, divisor))

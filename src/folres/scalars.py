@@ -2,13 +2,22 @@
 
 Coefficients throughout the package live in Q(i).  A value is stored as
 three Python ints ``(a, b, d)`` standing for ``(a + b*i) / d``, kept
-canonical: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).
-Each operation is plain integer arithmetic followed by at most one
-``math.gcd``, and equal values have equal triples, so equality and hashing
-compare the triple.  ``re`` and ``im`` give the parts as reduced
-``fractions.Fraction``s for the code that prints or converts them.  All
-arithmetic is exact and equality is decidable, which is what the
-singularity classification and the degree-by-degree solvers rely on.
+canonical: ``d > 0`` and ``gcd(a, b, d) == 1``.  Each operation is plain
+integer arithmetic followed by at most one ``math.gcd``, and equal values
+have equal triples, so equality and hashing compare the triple.  ``re`` and
+``im`` give the parts as reduced ``fractions.Fraction``s for the code that
+prints or converts them.  All arithmetic is exact and equality is
+decidable, which is what the singularity classification and the
+degree-by-degree solvers rely on.
+
+Zero is one shared object, ``ZERO`` (the triple ``(0, 0, 1)``): every
+constructor and every operation returns it for a zero value, before any gcd
+or allocation, so ``x is ZERO`` is the zero test, and ``+ - * /`` return at
+once on a ``ZERO`` operand.  The separatrix curves are mostly zero, so most
+scalar operations of a solve have such an operand.  Because the constructor
+hands out the shared object, copies and pickles rebuild a value through
+``from_ints`` rather than by writing slots into a fresh object, which would
+overwrite ``ZERO`` itself.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ _new = object.__new__
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
     # internal: (a, b, d) is already canonical
+    if not a and not b:
+        return ZERO
     obj = _new(GaussianRational)
     obj._a = a
     obj._b = b
@@ -44,6 +55,8 @@ def _make(a: int, b: int, d: int) -> "GaussianRational":
 
 def _reduced(a: int, b: int, d: int) -> "GaussianRational":
     # internal: d > 0; divides out gcd(a, b, d)
+    if not a and not b:
+        return ZERO
     g = gcd(a, b, d)
     if g != 1:
         a //= g
@@ -65,17 +78,18 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         re = _frac(re)
         im = _frac(im)
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         # p/q + (r/s) i = (p s + r q i) / (q s)
-        a, b, d = p * s, r * q, q * s
-        g = gcd(a, b, d)
-        self._a = a // g
-        self._b = b // g
-        self._d = d // g
+        return _reduced(p * s, r * q, q * s)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through from_ints, so zero comes back as ZERO
+        # and no copy writes into the shared object
+        return (from_ints, (self._a, self._b, self._d))
 
     # -- construction helpers -------------------------------------------------
 
@@ -104,7 +118,7 @@ class GaussianRational:
     # -- predicates ------------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self is not ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
@@ -121,6 +135,10 @@ class GaussianRational:
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return other
         d, e = self._d, other._d
         if d == e:
             if d == 1:
@@ -136,6 +154,10 @@ class GaussianRational:
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return _make(-other._a, -other._b, other._d)
         d, e = self._d, other._d
         if d == e:
             if d == 1:
@@ -151,6 +173,8 @@ class GaussianRational:
             if type(other) is int:
                 return _reduced(self._a * other, self._b * other, self._d)
             other = GaussianRational.coerce(other)
+        if self is ZERO or other is ZERO:
+            return ZERO
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not b and not e:  # real fast path
@@ -162,11 +186,13 @@ class GaussianRational:
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
+        if other is ZERO:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        if self is ZERO:
+            return ZERO
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero in Q(i)")
             if c < 0:
                 a, b, c = -a, -b, -c
             return _reduced(a * f, b * f, d * c)
@@ -188,7 +214,8 @@ class GaussianRational:
         return format_scalar(self)
 
 
-ZERO = GaussianRational(0)
+ZERO = _new(GaussianRational)
+ZERO._a, ZERO._b, ZERO._d = 0, 0, 1
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 

@@ -261,7 +261,7 @@ def _product_coeff(u, nz, v, t: int) -> GaussianRational:
         if s > t:
             break
         w = v[t - s]
-        if w:
+        if w is not ZERO:
             acc = acc + u[s] * w
     return acc
 
@@ -319,7 +319,7 @@ class _Composer:
                 for t in range(len(row), s + 1):
                     c = _product_coeff(u, nu, v, t)
                     row.append(c)
-                    if c:
+                    if c is not ZERO:
                         nz.append(t)
             prev = pair
         return prev[0]
@@ -352,10 +352,10 @@ class _Composer:
                     if k > t:
                         break
                     w = pr[t - k]
-                    if w:
+                    if w is not ZERO:
                         acc = acc + (w if c is None else c * w)
             row.append(acc)
-            if acc:
+            if acc is not ZERO:
                 nz.append(t)
         return row[m]
 

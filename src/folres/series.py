@@ -80,9 +80,9 @@ def convolve(a, b, t: int) -> list:
     """
     out = [ZERO] * (t + 1)
     for i, ca in enumerate(a[: t + 1]):
-        if ca:
+        if ca is not ZERO:
             for j, cb in enumerate(b[: t + 1 - i]):
-                if cb:
+                if cb is not ZERO:
                     out[i + j] = out[i + j] + ca * cb
     return out
 
@@ -208,7 +208,7 @@ class USeries:
 
     def valuation(self):
         for k, c in enumerate(self.coeffs):
-            if c:
+            if c is not ZERO:
                 return k
         return INFINITE
 

@@ -591,11 +591,19 @@ def test_power_too_large_exit_code(capsys):
 
 
 def test_curve_chart_must_be_transverse(capsys):
-    code, out = run_cli(
-        ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--chart", "x"], capsys
-    )
-    assert code == 2
-    assert json.loads(out)["error"] == "parse"
+    # the field parses; the flag pair is refused as a bad flag (exit 3) that
+    # names both flags, not as a parse error
+    for axis in "xyz":
+        code, out = run_cli(
+            ["blowup", "[y - z, x*z, z^3]", "--center", "curve", "--center-axis", axis,
+             "--chart", axis],
+            capsys,
+        )
+        assert code == 3
+        error = json.loads(out)
+        assert error["error"] == "FolresError" and "position" not in error
+        assert f"--chart {axis}" in error["message"]
+        assert f"--center-axis {axis}" in error["message"]
 
 
 def test_timeform_rho_must_be_univariate(capsys):
@@ -656,17 +664,45 @@ def _resolve_fields(draw):
 def test_resolve_argv_fuzz_ends_in_a_documented_exit_code(
     field, trunc, separatrix, max_steps, no_match_stop
 ):
-    # every run prints one JSON document and ends in exit 0, 3 or 4; an
-    # exception other than the documented errors would escape `main`
     argv = ["resolve", field, "--trunc", str(trunc), "--separatrix", separatrix]
     argv += ["--max-steps", str(max_steps)] + ["--no-match-stop"] * no_match_stop
+    code, doc = _documented_run(argv)
+    if code == 0:
+        assert len(doc["steps"]) <= max_steps + 1
+
+
+def _documented_run(argv):
+    """Run `main` on argv and check that it printed one JSON document and
+    ended in exit 0, 3 or 4; an exception other than the documented errors
+    would escape `main`.  A printed field always parses, so exit 2 is never
+    allowed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     text = out.getvalue()
-    assert code in (0, 3, 4)
+    assert code in (0, 3, 4), (argv, text)
     assert text.endswith("}\n") and text.count("\n") == 1
     doc = json.loads(text)
     assert ("error" not in doc) == (code == 0)
     if code == 0:
-        assert doc["command"] == "resolve" and len(doc["steps"]) <= max_steps + 1
+        assert doc["command"] == argv[0]
+    return code, doc
+
+
+_BLOWUP_FLAGS = [
+    ["--center", center, "--center-axis", axis, "--chart", chart, "--weight", weight]
+    for center in ("point", "curve")
+    for axis in "xyz"
+    for chart in "xyz"
+    for weight in ("1", "2")
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=_resolve_fields(), trunc=st.integers(0, 14))
+def test_classify_and_blowup_argv_fuzz_end_in_a_documented_exit_code(field, trunc):
+    # classify, and blowup under every --center/--center-axis/--chart/--weight
+    # combination, of a printed field
+    _documented_run(["classify", field, "--trunc", str(trunc)])
+    for flags in _BLOWUP_FLAGS:
+        _documented_run(["blowup", field, "--trunc", str(trunc)] + flags)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from folres.parsing import parse_series
-from folres.scalars import GaussianRational, format_scalar
+from folres.scalars import I, ONE, ZERO, GaussianRational, format_scalar, from_ints
 
 from conftest import gr, rand_scalar
 
@@ -113,6 +115,47 @@ def test_kernel_matches_fraction_pair_reference(x, y):
     assert _parts(-a) == (-x[0], -x[1])
     if any(y):
         assert _parts(a / b) == _ref_div(x, y)
+
+
+_small_ints = st.integers(-3, 3)
+
+
+@given(_pairs, _pairs, _small_ints, _small_ints, st.integers(1, 4))
+def test_zero_is_one_shared_object(x, y, p, q, d):
+    # every zero a constructor or an operation returns is ZERO itself, which
+    # is what the solvers' `is not ZERO` tests rely on; nothing else is
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    results = [
+        a, b, a + b, a - b, b - a, a - a, a * b, a * 0, 0 * a, a * p, p * a,
+        a + 0, 0 + a, a - 0, 0 - a, -a, a + p, p - a,
+        GaussianRational(p), GaussianRational(p, q), GaussianRational(x[0]),
+        GaussianRational.coerce(p), GaussianRational.coerce(x[1]),
+        GaussianRational.coerce(str(x[0])), from_ints(p, q, d),
+        parse_series(format_scalar(a * b), 0).constant_term(),
+        parse_series(f"{p}*x + {q}", 1).constant_term(),
+    ]
+    results += [u / v for u in (a, b, ZERO) for v in (a, b) if v]
+    for r in results:
+        assert type(r) is GaussianRational
+        assert (r is ZERO) == (r == 0) == (not r)
+
+
+@given(_pairs)
+def test_copies_and_pickles_leave_the_shared_constants_alone(x):
+    # the constructor hands out ZERO, so a copy that wrote slots into the
+    # object it made would overwrite ZERO; copies rebuild through from_ints
+    values = [ZERO, ONE, I, GaussianRational(*x), GaussianRational(3, 1)]
+    copies = [copy.copy, copy.deepcopy]
+    copies += [lambda v, n=n: pickle.loads(pickle.dumps(v, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for value in values:
+        for dup in copies:
+            got = dup(value)
+            assert type(got) is GaussianRational and got == value and hash(got) == hash(value)
+            assert (got is ZERO) == (value == 0)
+    assert copy.deepcopy([ZERO, ONE])[0] is ZERO
+    assert (ZERO._a, ZERO._b, ZERO._d) == (0, 0, 1)
+    assert (ONE._a, ONE._b, ONE._d) == (1, 0, 1)
+    assert (I._a, I._b, I._d) == (0, 1, 1)
 
 
 @given(_pairs, _pairs)
