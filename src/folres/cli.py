@@ -6,7 +6,9 @@ command emits one deterministic JSON document (compact by default,
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
---alpha, --beta or --turns that is not a rational number, an unreadable
+--alpha, --beta or --turns that is not a rational number, an --x0-re or
+--x0-im that is not a finite decimal number, an --exponent that is not a
+non-negative integer, an unreadable
 separatrix file, one whose x_of_z or y_of_z is not a list, and one whose
 lists are empty or of unequal length, a separatrix that is not invariant, a
 field whose ledger pins no degree of a graph separatrix, a coefficient too
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -247,7 +250,33 @@ def cmd_holonomy(args) -> dict:
     }
 
 
+def _finite_arg(text: str, flag: str) -> float:
+    """The value of a real flag such as --x0-re 0.5: a finite decimal
+    float, so neither nan, inf nor a numeral past the float range (1e400)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FolresError(f"{flag} must be a finite decimal number, got {text!r}")
+    return value
+
+
+def _exponent_arg(text: str) -> int:
+    """The value of --exponent: a non-negative integer, as rho = x^m with
+    m < 0 is no polynomial and --rho refuses it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise FolresError(f"--exponent must be a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_timeform(args) -> dict:
+    exponent = _exponent_arg(args.exponent)
+    x0 = complex(_finite_arg(args.x0_re, "--x0-re"), _finite_arg(args.x0_im, "--x0-im"))
     if args.rho is not None:
         series = parse_series(args.rho, args.trunc)
         if any(m[1] or m[2] for m in series.terms):
@@ -256,9 +285,8 @@ def cmd_timeform(args) -> dict:
         rho = USeries(coeffs, series.trunc)
         rho_text = format_mseries(series)
     else:
-        rho = args.exponent
-        rho_text = f"x^{args.exponent}"
-    x0 = complex(args.x0_re, args.x0_im)
+        rho = exponent
+        rho_text = f"x^{exponent}"
     turns = _rational_arg(args.turns, "--turns")
     value = rs.timeform_arc_integral(rho, x0, turns)
     return {
@@ -330,11 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_holonomy)
 
     p = sub.add_parser("timeform", parents=[common], help="time-form integral over a circular arc")
-    p.add_argument("--exponent", type=int, default=2, help="rho = x^exponent")
+    p.add_argument("--exponent", default="2", help="rho = x^exponent, exponent >= 0")
     p.add_argument("--rho", help="polynomial in x overriding --exponent")
     p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
-    p.add_argument("--x0-re", type=float, default=0.5)
-    p.add_argument("--x0-im", type=float, default=0.0)
+    p.add_argument("--x0-re", default="0.5")
+    p.add_argument("--x0-im", default="0")
     p.add_argument("--turns", default="1")
     p.set_defaults(fn=cmd_timeform)
     return parser

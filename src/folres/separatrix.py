@@ -171,7 +171,7 @@ def _times_power(s: USeries, n: int) -> USeries:
     """s T^n for an integer n; a negative n divides exactly (`shift_down`)."""
     if n < 0:
         return s.shift_down(-n)
-    return USeries([ZERO] * n + list(s.coeffs), s.trunc + n) if n else s
+    return USeries._clean((ZERO,) * n + s.coeffs, s.trunc + n) if n else s
 
 
 def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
@@ -185,7 +185,7 @@ def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
     out = list(u.coeffs[: t + 1])
     for (_, _, n), c in mul_terms(_z_terms(a), _z_terms(b), t).items():
         out[n] = out[n] - c
-    return USeries(out, t)
+    return USeries._clean(out, t)
 
 
 def invariance_residual(field: VectorField, phi: FormalCurve) -> ResidualReport:
@@ -277,11 +277,14 @@ class _Composer:
     one coefficient at a time, on demand, from the row before it in the
     chain a^f = a^(f-1) a, a^i b^g = a^i b^(g-1) b; each product walks the
     smaller of its two supports.  The terms of each tagged series are
-    grouped once by their (i, j) exponents, and every group reads one row,
-    the z^k-only terms the unit; a coefficient equal to ONE is added without
-    a product.  Each composed series S o phi is kept the same way, a row
-    filled in order with its nz list, in ``memo`` under its tag with its lag
-    and its groups.
+    grouped once by their (i, j) exponents, and every group holds the row
+    list of its a^i b^j, the z^k-only terms the unit, which it reads
+    directly and sends to ``_row`` only when the row is too short; a row
+    list keeps its identity for the life of the composer, as ``_row``
+    appends to it and ``reopen`` deletes from it in place.  A coefficient
+    equal to ONE is added without a product.  Each composed series S o phi
+    is kept the same way, a row filled in order with its nz list, in
+    ``memo`` under its tag with its lag and its groups.
 
     After the solver writes a[d] and b[d] it calls ``reopen(d)``.  As a and
     b have no constant term, they reach entry s of a^i b^j only when
@@ -295,7 +298,7 @@ class _Composer:
         # rows[i][j] is the pair (row, nz) of a^i b^j
         self.rows = [[([ONE] + [ZERO] * cap, [0]), (b, nz_b)], [(a, nz_a)]]
         self.cap = cap
-        self.memo = {}  # tag -> (row, nz, lag, [(i, j, [(k, c or None)])])
+        self.memo = {}  # tag -> (row, nz, lag, [(i, j, row of a^i b^j, [(k, c or None)])])
 
     def _row(self, i: int, j: int, s: int):
         """The row of a^i b^j, entries 0..s computed.
@@ -333,7 +336,9 @@ class _Composer:
             rows.extend([([], [])] for _ in range(i + 1 - len(rows)))
             rows[i].extend(([], []) for _ in range(j + 1 - len(rows[i])))
         lag = min((i + j + k - 1 for i, j, k in series.terms if i or j), default=self.cap)
-        memo = self.memo[tag] = ([], [], lag, [(i, j, sorted(ks)) for (i, j), ks in groups.items()])
+        memo = self.memo[tag] = (
+            [], [], lag, [(i, j, rows[i][j][0], sorted(ks)) for (i, j), ks in groups.items()]
+        )
         return memo
 
     def coeff(self, series: MSeries, m: int, tag) -> GaussianRational:
@@ -343,11 +348,14 @@ class _Composer:
         start = len(row)
         if m < start:
             return row[m]
-        # each group's row is read up to m - (its least k)
-        rows = [(self._row(i, j, m - ks[0][0]), ks) for i, j, ks in groups if ks[0][0] <= m]
+        # each group's row is read up to m - (its least k); a group whose
+        # least k is above m reads none, as its first k breaks the walk
+        for i, j, pr, ks in groups:
+            if len(pr) <= m - ks[0][0]:
+                self._row(i, j, m - ks[0][0])
         for t in range(start, m + 1):
             acc = ZERO
-            for pr, ks in rows:
+            for _, _, pr, ks in groups:
                 for k, c in ks:
                     if k > t:
                         break
@@ -461,7 +469,7 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         raise NotGraphParameterizable(
             f"no degree of the graph series is pinned within the field ledger {cap}"
         )
-    return FormalCurve.graph(*(USeries(x[: solved + 1], solved) for x in xs))
+    return FormalCurve.graph(*(USeries._clean(x[: solved + 1], solved) for x in xs))
 
 
 def _axis_valuation(H: MSeries):
@@ -538,7 +546,7 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
             if 2 * k - 1 >= 0 and 2 * k - 1 <= new_t:
                 b2[2 * k - 1] = phi.phi2.coeffs[k]
         return FormalCurve(
-            USeries(a2, new_t), USeries(b2, new_t), USeries.identity(new_t),
+            USeries._clean(a2, new_t), USeries._clean(b2, new_t), USeries.identity(new_t),
             graph_over_z=True, parameter_power=phi.parameter_power * 2,
         )
     div = comps[var_index(chart.divisor_var)]
@@ -601,9 +609,7 @@ def _z_terms(s: USeries) -> dict:
 
 def _zero_through(s: USeries, m: int) -> USeries:
     """Subtract the degree-m truncation; the ledger is unchanged."""
-    return USeries(
-        [ZERO if k <= m else s.coeffs[k] for k in range(s.trunc + 1)], s.trunc
-    )
+    return USeries._clean((ZERO,) * (min(m, s.trunc) + 1) + s.coeffs[m + 1 :], s.trunc)
 
 
 def _is_param_identity(s: USeries) -> bool:

@@ -31,6 +31,16 @@ unit, sums and monomial substitutions after dropping cancelled terms,
 ``retrunc`` after dropping the terms above the new ledger, and the term
 dicts of the parser and of ``separatrix.straighten``.
 
+The coefficients of a ``USeries`` are clean as well: a tuple of exactly
+``trunc + 1`` ``GaussianRational`` entries, every zero among them the shared
+``ZERO``.  The public ``USeries(coeffs, trunc)`` coerces, cuts and pads any
+input into that form; ``USeries._clean`` stores a sequence that is already
+clean as a tuple with no check.  It builds every result that is clean by
+construction: ``retrunc``, sums, differences, negations, scalings,
+products, derivatives, ``shift_down``, ``divide`` and ``compose_curve``,
+and in ``separatrix`` the transport's shifted and subtracted series, the
+solver's curve and the identity series of ``FormalCurve.graph``.
+
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
 product and ``substitute_terms`` the one substitution, behind
 ``MSeries.substitute``, ``MSeries.shift_origin``, the driver's coordinate
@@ -171,6 +181,8 @@ class USeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs, trunc: int):
+        """A series from any coefficient sequence: entries are coerced, those
+        above ``trunc`` dropped, and a short sequence is padded with zeros."""
         if trunc < 0:
             raise ValueError("trunc must be non-negative")
         cs = [
@@ -180,6 +192,16 @@ class USeries:
         cs.extend(ZERO for _ in range(trunc + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.trunc = trunc
+
+    @staticmethod
+    def _clean(coeffs, trunc: int) -> "USeries":
+        """The series of a sequence that is already clean (exactly
+        ``trunc + 1`` ``GaussianRational`` entries), stored as a tuple with
+        no check, as ``MSeries._clean`` stores a clean term dict."""
+        s = _new(USeries)
+        s.coeffs = tuple(coeffs)
+        s.trunc = trunc
+        return s
 
     @staticmethod
     def zero(trunc: int) -> "USeries":
@@ -194,7 +216,9 @@ class USeries:
 
     @staticmethod
     def identity(trunc: int) -> "USeries":
-        return USeries.monomial(ONE, 1, trunc)
+        if trunc < 1:
+            return USeries.zero(trunc)
+        return USeries._clean((ZERO, ONE) + (ZERO,) * (trunc - 1), trunc)
 
     def __getitem__(self, k: int) -> GaussianRational:
         if k < 0 or k > self.trunc:
@@ -202,9 +226,14 @@ class USeries:
         return self.coeffs[k]
 
     def retrunc(self, trunc: int) -> "USeries":
+        """The series cut at ``trunc``; itself at its own ledger."""
+        if trunc == self.trunc:
+            return self
         if trunc > self.trunc:
             raise ValueError("cannot raise a truncation ledger")
-        return USeries(self.coeffs[: trunc + 1], trunc)
+        if trunc < 0:
+            raise ValueError("trunc must be non-negative")
+        return USeries._clean(self.coeffs[: trunc + 1], trunc)
 
     def valuation(self):
         for k, c in enumerate(self.coeffs):
@@ -213,32 +242,34 @@ class USeries:
         return INFINITE
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return all(c is ZERO for c in self.coeffs)
 
     def __add__(self, other: "USeries") -> "USeries":
         t = min(self.trunc, other.trunc)
-        return USeries([self.coeffs[k] + other.coeffs[k] for k in range(t + 1)], t)
+        return USeries._clean([a + b for a, b in zip(self.coeffs[: t + 1], other.coeffs)], t)
 
     def __sub__(self, other: "USeries") -> "USeries":
         t = min(self.trunc, other.trunc)
-        return USeries([self.coeffs[k] - other.coeffs[k] for k in range(t + 1)], t)
+        return USeries._clean([a - b for a, b in zip(self.coeffs[: t + 1], other.coeffs)], t)
 
     def __neg__(self) -> "USeries":
-        return USeries([-c for c in self.coeffs], self.trunc)
+        return USeries._clean([-c for c in self.coeffs], self.trunc)
 
     def scale(self, c) -> "USeries":
         c = _coerce_scalar(c)
-        return USeries([c * a for a in self.coeffs], self.trunc)
+        return USeries._clean([c * a for a in self.coeffs], self.trunc)
 
     def __mul__(self, other: "USeries") -> "USeries":
         t = min(self.trunc, other.trunc)
-        return USeries(convolve(self.coeffs, other.coeffs, t), t)
+        return USeries._clean(convolve(self.coeffs, other.coeffs, t), t)
 
     def derivative(self) -> "USeries":
+        """d/dT; ledger drops by one, and zero coefficients cost no product."""
         if self.trunc == 0:
             return USeries.zero(0)
-        return USeries(
-            [self.coeffs[k + 1] * (k + 1) for k in range(self.trunc)], self.trunc - 1
+        return USeries._clean(
+            [c if c is ZERO else c * k for k, c in enumerate(self.coeffs[1:], 1)],
+            self.trunc - 1,
         )
 
     def shift_down(self, k: int) -> "USeries":
@@ -248,9 +279,9 @@ class USeries:
         if self.trunc < k:
             raise NotDivisible("T", f"ledger {self.trunc} below shift {k}")
         for j in range(k):
-            if self.coeffs[j]:
+            if self.coeffs[j] is not ZERO:
                 raise NotDivisible("T", f"T^{j}")
-        return USeries(self.coeffs[k:], self.trunc - k)
+        return USeries._clean(self.coeffs[k:], self.trunc - k)
 
     def divide(self, other: "USeries") -> "USeries":
         """Exact series division self/other; requires val(self) >= val(other).
@@ -264,17 +295,17 @@ class USeries:
         num, den = self.shift_down(int(v)), other.shift_down(int(v))
         t = min(num.trunc, den.trunc)
         inv0 = None if den.coeffs[0] == ONE else ONE / den.coeffs[0]
-        tail = [(j, c) for j, c in enumerate(den.coeffs[1 : t + 1], 1) if c]
+        tail = [(j, c) for j, c in enumerate(den.coeffs[1 : t + 1], 1) if c is not ZERO]
         q = []
         for k in range(t + 1):
             acc = num.coeffs[k]
             for j, c in tail:
                 if j > k:
                     break
-                if q[k - j]:
+                if q[k - j] is not ZERO:
                     acc = acc - c * q[k - j]
             q.append(acc if inv0 is None else acc * inv0)
-        return USeries(q, t)
+        return USeries._clean(q, t)
 
     def eq_trusted(self, other: "USeries") -> bool:
         t = min(self.trunc, other.trunc)
@@ -636,7 +667,7 @@ def compose_curve(s: MSeries, phi) -> USeries:
     out = [ZERO] * (t + 1)
     for (n, _, _), c in substitute_terms(s.terms, subs, t).items():
         out[n] = c
-    return USeries(out, t)
+    return USeries._clean(out, t)
 
 
 def ratio_divergence_estimate(s: USeries, support_stride: int = 1):

@@ -313,11 +313,15 @@ def nilpotent_normal_form_full(field: VectorField, *, _factored=None):
     unit = h.divide_by_variable("z", n)
     if not unit.constant_term():
         return None, "third component is not z^n times a unit"
-    try:
-        unit_inv = unit.invert_unit()
-    except NotAUnit:
-        return None, "third component is not z^n times a unit"
-    comps = [c.retrunc(unit_inv.trunc) * unit_inv for c in rep.components]
+    if len(unit.terms) == 1 and unit.constant_term() == ONE:
+        # the unit is 1, as for every z^n d/dz: dividing by it is a cut
+        comps = [c.retrunc(unit.trunc) for c in rep.components]
+    else:
+        try:
+            unit_inv = unit.invert_unit()
+        except NotAUnit:
+            return None, "third component is not z^n times a unit"
+        comps = [c.retrunc(unit_inv.trunc) * unit_inv for c in rep.components]
     t = min(c.trunc for c in comps)
     delta = comps[0] - MSeries.variable("y", t)
     if delta.variable_multiplicity("z") < 1 and not delta.is_zero():

@@ -706,3 +706,79 @@ def test_classify_and_blowup_argv_fuzz_end_in_a_documented_exit_code(field, trun
     _documented_run(["classify", field, "--trunc", str(trunc)])
     for flags in _BLOWUP_FLAGS:
         _documented_run(["blowup", field, "--trunc", str(trunc)] + flags)
+
+
+# flag values: rationals and integers, junk, numerals past Python's
+# int-string limit, and values past the float range
+_RATIONALS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=50).map(str),
+    st.integers(-5, 8).map(str),
+)
+_JUNK = st.sampled_from(["abc", "", "1/0", "1e", "0x10", "i", "1/2-i"])
+_OVERLONG = st.integers(4301, 4400).map(lambda n: "9" * n)
+_PAST_FLOAT = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400"])
+_FLAG_VALUES = st.one_of(_RATIONALS, _JUNK, _OVERLONG, _PAST_FLOAT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=_FLAG_VALUES, beta=_FLAG_VALUES)
+def test_holonomy_argv_fuzz_ends_in_a_documented_exit_code(alpha, beta):
+    # the --flag=value form keeps a value such as "-1" from reading as a flag
+    code, doc = _documented_run(["holonomy", f"--alpha={alpha}", f"--beta={beta}"])
+    if code == 3:
+        assert "--alpha" in doc["message"] or "--beta" in doc["message"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    exponent=st.one_of(st.none(), _RATIONALS, _FLAG_VALUES),
+    rho=st.one_of(st.none(), st.sampled_from(["x^2 + 1", "1 - x", "x^3", "x*y", "0", "x^"])),
+    x0_re=st.one_of(st.none(), _RATIONALS, _FLAG_VALUES),
+    x0_im=st.one_of(st.none(), _RATIONALS, _FLAG_VALUES),
+    # 10^400 turns is a rational whose quadrature takes seconds to fail
+    turns=st.one_of(st.none(), _RATIONALS, _JUNK, _OVERLONG, st.sampled_from(["nan", "inf"])),
+)
+def test_timeform_argv_fuzz_ends_in_a_documented_exit_code(exponent, rho, x0_re, x0_im, turns):
+    # an omitted flag takes its default, and about a third of the runs pass
+    # every flag check and integrate with mpmath.  Only --rho is parsed by
+    # the field grammar, so only it may end in exit 2.
+    argv = ["timeform"]
+    for flag, value in (("--exponent", exponent), ("--rho", rho), ("--x0-re", x0_re),
+                        ("--x0-im", x0_im), ("--turns", turns)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in ((0, 2, 3, 4) if rho is not None else (0, 3, 4)), (argv, text)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert ("error" not in doc) == (code == 0)
+    if code == 0:
+        assert doc["command"] == "timeform"
+        # no rho x^m with m < 0, which --rho would refuse
+        assert exponent is None or int(exponent) >= 0
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--x0-re", "nan"], "--x0-re"),
+        (["--x0-re", "inf"], "--x0-re"),
+        (["--x0-re", "1e400"], "--x0-re"),
+        (["--x0-im", "nan"], "--x0-im"),
+        (["--x0-im=-inf"], "--x0-im"),
+        (["--x0-im", "1e400"], "--x0-im"),
+        (["--x0-re", "abc"], "--x0-re"),
+        (["--exponent=-1"], "--exponent"),
+        (["--exponent", "1.5"], "--exponent"),
+        (["--exponent", "abc"], "--exponent"),
+    ],
+)
+def test_timeform_bad_flag_exit_code(args, flag, capsys):
+    # a flag error naming the flag, not an integration failure or x^-1
+    code, out = run_cli(["timeform"] + args, capsys)
+    assert code == 3
+    error = json.loads(out)
+    assert error["error"] == "FolresError" and flag in error["message"]

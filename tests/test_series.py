@@ -20,7 +20,7 @@ from folres.series import (
     ratio_divergence_estimate,
 )
 
-from conftest import gr, rand_mseries, rand_zero_const_triple, series, useries
+from conftest import gr, rand_mseries, rand_scalar, rand_zero_const_triple, series, useries
 from oracles import least_squares_slope, xlambda_series
 
 
@@ -376,10 +376,24 @@ def test_operations_do_not_mutate_inputs():
     assert a.terms == snap_a and b.terms == snap_b
     assert [c.terms for c in subs] == snap_subs
     u = useries([0, 1, 2, 3], 8)
-    snap_u = u.coeffs
-    _ = u * u
+    v = useries([0, 0, 5, gr(1, 2)], 6)
+    snap_u, snap_v = list(u.coeffs), list(v.coeffs)
+    _ = u * v
+    _ = u + v
+    _ = u - v
+    _ = -u
+    _ = u.scale(gr(2, -1))
     _ = u.derivative()
-    assert u.coeffs == snap_u
+    _ = u.retrunc(3)
+    _ = v.shift_down(2)
+    _ = v.divide(u)
+    _ = compose_curve(a, (u, v, USeries.identity(8)))
+    assert list(u.coeffs) == snap_u and list(v.coeffs) == snap_v
+    # a series keeps its own tuple: a list it was built from may change later
+    coeffs = [gr(1), gr(2)]
+    w = USeries._clean(coeffs, 1)
+    coeffs[0] = gr(7)
+    assert w.coeffs == (gr(1), gr(2))
 
 
 def test_retrunc_at_its_own_ledger_is_the_series():
@@ -453,3 +467,67 @@ def test_every_operation_returns_a_clean_term_dict(seed):
     results.append(parse_series(f"({text})^2 - ({text})*({text}) + {format_mseries(b)}", t2))
     for r in results:
         _assert_clean(r)
+
+
+def _assert_clean_useries(s: USeries):
+    """The invariant ``USeries._clean`` trusts: a tuple of exactly
+    ``trunc + 1`` canonical scalars, every zero among them ``ZERO``."""
+    assert type(s.coeffs) is tuple and len(s.coeffs) == s.trunc + 1
+    assert all(type(c) is GaussianRational and (c is ZERO) == (c == 0) for c in s.coeffs)
+
+
+def _rand_useries(rng, trunc, val=0):
+    # mostly zero small coefficients, so sums, products and derivatives cancel
+    return USeries(
+        [ZERO] * val + [rand_scalar(rng) if rng.random() < 0.6 else ZERO for _ in range(trunc + 1 - val)],
+        trunc,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_every_operation_returns_a_clean_coefficient_tuple(seed):
+    from folres.blowup import point_chart, weight2_chart
+    from folres.separatrix import (
+        FormalCurve, _minus_product, _times_power, _zero_through, solve_graph_separatrix,
+        straighten, transform_curve,
+    )
+    from conftest import rand_normal_form
+
+    rng = random.Random(seed)
+    t1, t2 = rng.randint(1, 8), rng.randint(0, 8)
+    a, b = _rand_useries(rng, t1), _rand_useries(rng, t2)
+    c, d = _rand_useries(rng, t1, val=1), _rand_useries(rng, rng.randint(1, 8), val=1)
+    k = rng.randint(0, min(3, t1))
+    lead = USeries([ZERO] * k + [rand_scalar(rng) or ONE], t1 + k) + _rand_useries(rng, t1 + k, k + 1)
+    results = [
+        a.retrunc(rng.randint(0, t1)), a + b, a - b, a - a, -a, a.scale(rand_scalar(rng)),
+        a.scale(0), a * b, a.derivative(), b.derivative(), (a * lead).shift_down(k),
+        (a * lead).divide(lead), USeries.identity(t1), USeries.identity(0),
+        compose_curve(rand_mseries(rng, t1, maxdeg=4), (c, d, _rand_useries(rng, t2, val=1))),
+        _times_power(a, rng.randint(0, 3)), _times_power(_times_power(a, k), -k),
+        _minus_product(a, c, d), _zero_through(a, rng.randint(0, t1 + 2)),
+    ]
+    curve = FormalCurve.graph(c, d)
+    results += curve.components
+    results += transform_curve(curve, point_chart("z")).components
+    results += transform_curve(curve, weight2_chart()).components
+    X, _, _ = rand_normal_form(rng, 8)
+    _, moved = straighten(X, curve, rng.randint(0, 8))
+    results += moved.components
+    results += solve_graph_separatrix(X, rng.randint(1, 7)).components
+    for r in results:
+        _assert_clean_useries(r)
+
+
+def test_public_useries_constructor_coerces_pads_and_checks():
+    s = USeries([1, Fraction(1, 2), 0], 4)
+    assert s.coeffs == (gr(1), gr("1/2"), ZERO, ZERO, ZERO)
+    _assert_clean_useries(s)
+    assert s.coeffs[2] is ZERO and s.coeffs[4] is ZERO
+    assert USeries([1, 2, 3], 1).coeffs == (gr(1), gr(2))
+    assert USeries((), 0).coeffs == (ZERO,)
+    with pytest.raises(ValueError):
+        USeries([1], -1)
+    with pytest.raises(ValueError):
+        USeries([1, 2], 1).retrunc(-1)

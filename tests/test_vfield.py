@@ -230,3 +230,50 @@ class TestNormalFormDecomposition:
         )
         assert parts is None
         assert reason == "dg/dx vanishes at the origin (lambda = 0)"
+
+
+def _reference_parts(field: VectorField):
+    """The normal-form parts of a field that matches, built with the unit's
+    inverse and three products whatever the unit is."""
+    k, rep = factor_divisor(field, "z")
+    n = rep.fz.variable_multiplicity("z")
+    inv = rep.fz.divide_by_variable("z", n).invert_unit()
+    comps = [c.retrunc(inv.trunc) * inv for c in rep.components]
+    t = min(c.trunc for c in comps)
+    f = (comps[0] - MSeries.variable("y", t)).divide_by_variable("z")
+    g = comps[1].divide_by_variable("z")
+    return k, n, g.linear_coeff("x"), f, g, comps
+
+
+@pytest.mark.parametrize("unit", ["one", "constant", "series"])
+def test_normal_form_parts_match_the_inverse_of_the_unit(unit, monkeypatch):
+    # soak normal forms times z^k and a unit: the unit 1 skips its inverse
+    # and the products, and every part equals the reference's
+    from conftest import rand_normal_form
+
+    inverted = []
+    invert_unit = MSeries.invert_unit
+    monkeypatch.setattr(MSeries, "invert_unit", lambda s: inverted.append(s) or invert_unit(s))
+    rng = random.Random(23)
+    for _ in range(40):
+        X, n, lam = rand_normal_form(rng, 12)
+        if unit == "one":
+            u = MSeries.constant(1, 12)
+        elif unit == "constant":
+            u = MSeries.constant(rand_scalar(rng, 3, 1) or gr(2), 12)
+            if u.constant_term() == 1:
+                u = u.scale(-1)
+        else:
+            u = MSeries.constant(1, 12) + rand_mseries(rng, 12, val=1, maxdeg=3, terms=3)
+        z_k = MSeries.monomial(1, (0, 0, rng.randint(0, 2)), 12)
+        field = X.map(lambda c: c * u * z_k)
+        inverted.clear()
+        parts, reason = nilpotent_normal_form_full(field)
+        assert reason is None and (parts.n, parts.lam) == (n, lam)
+        assert len(inverted) == (unit != "one")
+        k, n_ref, lam_ref, f, g, comps = _reference_parts(field)
+        assert (parts.k, parts.n, parts.lam) == (k, n_ref, lam_ref)
+        for got, want in ((parts.f, f), (parts.g, g)) + tuple(
+            zip(parts.representative.components, comps)
+        ):
+            assert got.trunc == want.trunc and got.terms == want.terms
