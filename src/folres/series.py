@@ -39,7 +39,8 @@ clean as a tuple with no check.  It builds every result that is clean by
 construction: ``retrunc``, sums, differences, negations, scalings,
 products, derivatives, ``shift_down``, ``divide`` and ``compose_curve``,
 and in ``separatrix`` the transport's shifted and subtracted series, the
-solver's curve and the identity series of ``FormalCurve.graph``.
+weight-2 lift of ``transform_curve``, the solver's curve and the identity
+series of ``FormalCurve.graph``.
 
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
 product and ``substitute_terms`` the one substitution, behind
