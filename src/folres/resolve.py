@@ -230,9 +230,9 @@ def resolve_along(
     multiplicity from its image and hands image, factoring and curve to
     `detect_persistent_normal_form`, which certifies the carried curve from
     the residual or names the check it fails; the driver never solves the
-    separatrix.  A step whose transport failed has no image: it records no
-    multiplicity, and detection composes the image itself.  A curve off the
-    origin raises at the first composition.
+    separatrix.  A step whose transport fails composes its image once, and
+    the steps after it carry that one.  A curve off the origin raises at the
+    first composition.
     """
     steps = []
     current = field
@@ -248,7 +248,7 @@ def resolve_along(
     def record(chart_kind, divisor_exponent):
         cls = classify(current)
         mult = None
-        if cls.tag != REGULAR and image is not None:
+        if cls.tag != REGULAR:
             try:
                 mult = _multiplicity(*image)
             except FolresError:
@@ -293,14 +293,12 @@ def resolve_along(
         result = point_blowup(current, chart)
         moved = transform_curve(curve, chart)
         current, curve = straighten(result.vf, moved, int(matched))
-        k_old = factored[0]
+        s = result.divisor_exponent - factored[0]
         factored = (0, current)
-        if image is not None:
-            s = result.divisor_exponent - k_old
-            try:
-                image = _transport_image(image, moved, curve, s, factored[1].trunc)
-            except FolresError:
-                image = None
+        try:
+            image = _transport_image(image, moved, curve, s, current.trunc)
+        except FolresError:
+            image = _curve_image(current, curve)
         cls, report = record(chart.kind, result.divisor_exponent)
         matched = matched or report is not None
     final_report = report if outcome == PERSISTENT_NORMAL_FORM_MATCHED else None
@@ -361,11 +359,9 @@ def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> comple
 
     turns = Fraction(turns)
     if isinstance(rho, int):
-        exponent = rho
-        rho_eval = None
+        exponent, coeffs = rho, ()
     elif isinstance(rho, USeries):
-        exponent = None
-        rho_eval = rho
+        exponent, coeffs = None, rho.coeffs[::-1]
     else:
         raise TypeError("rho must be an integer exponent or a USeries")
 
@@ -376,12 +372,15 @@ def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> comple
         def point(t):
             return x0m * mp.exp(w * t)
 
+        # rho's coefficients, highest degree first, converted once per call
+        cs = [mp.mpc(float(c.re), float(c.im)) for c in coeffs]
+
         def denom(x):
             if exponent is not None:
                 return x**exponent
             acc = mp.mpc(0)
-            for c in reversed(rho_eval.coeffs):
-                acc = acc * x + mp.mpc(float(c.re), float(c.im))
+            for c in cs:
+                acc = acc * x + c
             return acc
 
         # pole scan on a coarse grid before integrating

@@ -60,20 +60,17 @@ from .vfield import VectorField
 
 @dataclass(frozen=True)
 class FormalCurve:
-    """Parameterized formal curve; graph_over_z means phi3 = T identically."""
+    """Parameterized formal curve (phi1, phi2, phi3) in a parameter T."""
 
     phi1: USeries
     phi2: USeries
     phi3: USeries
-    graph_over_z: bool = False
     parameter_power: int = 1
 
     @staticmethod
     def graph(a: USeries, b: USeries) -> "FormalCurve":
         t = min(a.trunc, b.trunc)
-        return FormalCurve(
-            a.retrunc(t), b.retrunc(t), USeries.identity(t), graph_over_z=True
-        )
+        return FormalCurve(a.retrunc(t), b.retrunc(t), USeries.identity(t))
 
     @staticmethod
     def z_axis(trunc: int) -> "FormalCurve":
@@ -82,6 +79,13 @@ class FormalCurve:
     @property
     def components(self):
         return (self.phi1, self.phi2, self.phi3)
+
+    @property
+    def graph_over_z(self) -> bool:
+        """phi3 = T through its ledger, so the curve is (x(z), y(z), z); at
+        ledger 0, where T reads 0, so does a one-coefficient graph curve."""
+        head = self.phi3.coeffs[:2]
+        return head == (ZERO, ONE)[: len(head)] and not any(self.phi3.coeffs[2:])
 
     @property
     def ledger(self) -> int:
@@ -152,7 +156,7 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
     NotGraph when the third component of `moved` is not T.
     """
     (i1, i2, i3), _, _ = image
-    if not _is_param_identity(moved.phi3):
+    if not moved.graph_over_z:
         raise NotGraph("the image is transported along curves with phi3 = T")
     j3 = _times_power(i3, -s)
     out = []
@@ -547,7 +551,7 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
                 b2[2 * k - 1] = phi.phi2.coeffs[k]
         return FormalCurve(
             USeries._clean(a2, new_t), USeries._clean(b2, new_t), USeries.identity(new_t),
-            graph_over_z=True, parameter_power=phi.parameter_power * 2,
+            parameter_power=phi.parameter_power * 2,
         )
     div = comps[var_index(chart.divisor_var)]
     dval = div.valuation()
@@ -560,11 +564,7 @@ def transform_curve(phi: FormalCurve, chart) -> FormalCurve:
         out[i] = comps[i].divide(div)
     t = min(c.trunc for c in out)
     out = [c.retrunc(t) for c in out]
-    graph = _is_param_identity(out[2]) and not out[0].coeffs[0] and not out[1].coeffs[0]
-    return FormalCurve(
-        out[0], out[1], out[2],
-        graph_over_z=graph, parameter_power=phi.parameter_power,
-    )
+    return FormalCurve(*out, parameter_power=phi.parameter_power)
 
 
 def straighten(field: VectorField, phi: FormalCurve, m: int):
@@ -582,7 +582,7 @@ def straighten(field: VectorField, phi: FormalCurve, m: int):
     curve's point.  Field and curve are returned unchanged when a = b = 0.
     Raises NotGraph unless phi3 = T.
     """
-    if not _is_param_identity(phi.phi3):
+    if not phi.graph_over_z:
         raise NotGraph("straighten needs a curve with phi3 = T")
     if m > field.trunc:
         raise ValueError("m exceeds the field ledger")
@@ -611,9 +611,3 @@ def _zero_through(s: USeries, m: int) -> USeries:
     """Subtract the degree-m truncation; the ledger is unchanged."""
     return USeries._clean((ZERO,) * (min(m, s.trunc) + 1) + s.coeffs[m + 1 :], s.trunc)
 
-
-def _is_param_identity(s: USeries) -> bool:
-    """True when the series equals T through its trusted ledger."""
-    if s.trunc < 1 or s.coeffs[0] or s.coeffs[1] != ONE:
-        return False
-    return all(not c for c in s.coeffs[2:])

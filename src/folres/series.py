@@ -391,12 +391,6 @@ class MSeries:
             return INFINITE
         return min(sum(m) for m in self.terms)
 
-    def valuation_xy(self):
-        """Least joint degree in x, y over the trusted support."""
-        if not self.terms:
-            return INFINITE
-        return min(m[0] + m[1] for m in self.terms)
-
     def max_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 

@@ -410,7 +410,7 @@ def _substitute_monomials_reference(s: MSeries, monos) -> MSeries:
         for a, d in itertools.permutations("xyz", 2)
     ]
     + [pytest.param(weight2_chart().substitution, id="weight2")]
-    # the axis permutations of order_wrt_curve, and the other variable orders
+    # the six variable permutations
     + [
         pytest.param(
             tuple(tuple(int(i == p) for i in range(3)) for p in perm),

@@ -250,6 +250,12 @@ def test_resolve_short_separatrix_file_is_reported_not_extended(tmp_path, capsys
     code, out = _resolve_file_curve(tmp_path, capsys, 2, 2)
     assert code == 4
     assert out["message"] == "blow-up step 1: curve ledger needs 2, has 1"
+    # one coefficient is a graph over z too: at ledger 0, T reads 0
+    code, out = _resolve_file_curve(tmp_path, capsys, 1, 0)
+    assert code == 0
+    assert out["steps"][0]["no_match_reason"] == (
+        "carried curve is known through degree 0, the match needs 20"
+    )
 
 
 def test_resolve_separatrix_file_round_trip(tmp_path, capsys):
@@ -500,26 +506,35 @@ TRANSPORT_FALLBACK_FIELD = (
 )
 
 
-def test_resolve_goes_on_when_the_image_cannot_be_transported(capsys, monkeypatch):
-    # at trunc 5 the first blow-up's image cannot be divided by its shift;
-    # the step then records no multiplicity and the run goes on, where a
-    # raising transport would end it in exit 3
+def _record_transports(monkeypatch) -> list:
+    """Log "ok" or the exception's name for each `_transport_image` call
+    that `resolve_along` makes."""
     import folres.resolve
 
     original = folres.resolve._transport_image
-    raised = []
+    outcomes = []
 
     def recorded(*args):
         try:
-            return original(*args)
+            image = original(*args)
         except Exception as exc:
-            raised.append(type(exc).__name__)
+            outcomes.append(type(exc).__name__)
             raise
+        outcomes.append("ok")
+        return image
 
     monkeypatch.setattr(folres.resolve, "_transport_image", recorded)
+    return outcomes
+
+
+def test_resolve_goes_on_when_the_image_cannot_be_transported(capsys, monkeypatch):
+    # at trunc 5 the second blow-up's image cannot be divided by its shift;
+    # the step then composes its image and the run goes on, where a raising
+    # transport would end it in exit 3
+    transports = _record_transports(monkeypatch)
     argv = ["resolve", TRANSPORT_FALLBACK_FIELD, "--trunc", "5", "--max-steps", "2"]
     code, out = run_cli(argv, capsys)
-    assert raised == ["NotDivisible"]
+    assert transports == ["ok", "NotDivisible"]  # one per blow-up
     assert code == 0
     steps = [
         ("null", "zero_linear_part", 0, 4, "zero_linear_part"),
@@ -538,6 +553,27 @@ def test_resolve_goes_on_when_the_image_cannot_be_transported(capsys, monkeypatc
         )
         + '], "report": null, "verdict": null}\n'
     )
+
+
+def test_a_step_whose_transport_fails_reads_its_multiplicity_from_its_image(
+    capsys, monkeypatch
+):
+    # at trunc 8 the third blow-up's image cannot be transported, and the
+    # step reads the multiplicity of the image it composes: 1, as at trunc
+    # 12, where every transport succeeds
+    transports = _record_transports(monkeypatch)
+    field = (
+        "[(3+i)*y^3 + i*x*y^2*z + (-2-i)*x*z^3 + (-3-i)*y^4, (1+i)*x^2 + 3*x^4 + 2*x^3*z, "
+        "(3-i)*x*y^2 + (-1+i)*x^3*z + 2*x*y*z^2 - i*z^4]"
+    )
+    for trunc, logged in (("8", ["ok", "ok", "NotDivisible"]), ("12", ["ok"] * 3)):
+        transports.clear()
+        code, out = run_cli(["resolve", field, "--trunc", trunc], capsys)
+        assert code == 0
+        assert transports == logged
+        report = json.loads(out)
+        assert report["outcome"] == "reached_elementary"
+        assert [s["mult"] for s in report["steps"]] == [4, 3, 2, 1]
 
 
 @pytest.mark.parametrize("trunc", ["-1", "1025"])

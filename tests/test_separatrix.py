@@ -390,7 +390,6 @@ class TestTransformCurve:
             USeries.monomial(1, 2, 10),
             USeries.monomial(1, 3, 10),
             USeries.identity(10),
-            graph_over_z=True,
         )
         out = transform_curve(curve, point_chart("z"))
         assert out.phi1.eq_trusted(USeries.monomial(1, 1, out.ledger))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folres.errors import AllZero, NonInvertibleLinearPart
 from folres.series import MSeries
@@ -88,6 +89,24 @@ class TestOrder:
             order_at_origin(vf({}, {}, {}))
 
 
+_components = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.builds(gr, st.integers(1, 3)), max_size=4
+)
+
+
+def _transposed(field, axis):
+    """The field with the variables and the components of `axis` and z
+    swapped, so that the axis of `axis` becomes the z-axis."""
+    perm = [0, 1, 2]
+    ai = "xyz".index(axis)
+    perm[ai], perm[2] = 2, ai
+    comps = (field.components[q] for q in perm)
+    return VectorField(*(
+        MSeries({tuple(m[p] for p in perm): c for m, c in s.terms.items()}, s.trunc)
+        for s in comps
+    ))
+
+
 class TestOrderWrtCurve:
     def test_mixed(self):
         f = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 2): 1})
@@ -110,6 +129,19 @@ class TestOrderWrtCurve:
         # center {y=z=0}: same field as test_mixed after swapping x and z
         f = vf({(0, 0, 2): 1}, {(1, 0, 1): 1}, {(0, 1, 0): 1})
         assert order_wrt_curve(f, "x") == 1
+
+    @pytest.mark.parametrize("axis", "xyz")
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_components, min_size=3, max_size=3))
+    def test_equals_the_z_order_of_the_transposed_field(self, axis, comps):
+        f = vf(*comps, trunc=6)
+        swapped = _transposed(f, axis)
+        if swapped.is_zero():
+            with pytest.raises(AllZero):
+                order_wrt_curve(f, axis)
+        else:
+            assert order_wrt_curve(f, axis) == order_wrt_curve(swapped, "z")
+
 
 
 class TestFactorDivisor:
