@@ -6,11 +6,11 @@ command emits one deterministic JSON document (compact by default,
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
---alpha, --beta or --turns that is not a rational number, an --x0-re or
---x0-im that is not a finite decimal number, an --exponent that is not a
-non-negative integer, an unreadable
-separatrix file, one whose x_of_z or y_of_z is not a list, and one whose
-lists are empty or of unequal length, a separatrix that is not invariant, a
+--alpha, --beta or --turns that is not a rational number or is beyond the
+float range, an --x0-re or --x0-im that is not a finite decimal number, an
+--exponent that is not a non-negative integer, an unreadable separatrix
+file, one whose x_of_z or y_of_z is not a list, and one whose lists are
+empty or of unequal length, a separatrix that is not invariant, a
 field whose ledger pins no degree of a graph separatrix, a coefficient too
 long to print under Python's int-string limit, and an --out file that cannot
 be written), 4 precision exhausted.
@@ -232,14 +232,20 @@ def _rational_arg(text: str, flag: str) -> Fraction:
         raise FolresError(f"{flag} must be a rational number, got {text!r}") from exc
 
 
+def _check_float_range(value: Fraction, text: str, flag: str) -> None:
+    """Refuse a rational flag that no float holds, such as 1e400."""
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise FolresError(f"{flag} is beyond the floating-point range, got {text!r}") from exc
+
+
 def cmd_holonomy(args) -> dict:
     alpha = _rational_arg(args.alpha, "--alpha")
     beta = _rational_arg(args.beta, "--beta")
-    for value, text, flag in ((alpha, args.alpha, "--alpha"), (beta, args.beta, "--beta")):
-        try:
-            float(value)  # the holonomy matrix is computed in floating point
-        except OverflowError as exc:
-            raise FolresError(f"{flag} is beyond the floating-point range, got {text!r}") from exc
+    # the holonomy matrix is computed in floating point
+    _check_float_range(alpha, args.alpha, "--alpha")
+    _check_float_range(beta, args.beta, "--beta")
     hol = rs.holonomy_sancho_sanz(alpha, beta)
     return {
         "command": "holonomy",
@@ -288,6 +294,8 @@ def cmd_timeform(args) -> dict:
         rho = exponent
         rho_text = f"x^{exponent}"
     turns = _rational_arg(args.turns, "--turns")
+    # past the float range the quadrature would run for seconds and fail
+    _check_float_range(turns, args.turns, "--turns")
     value = rs.timeform_arc_integral(rho, x0, turns)
     return {
         "command": "timeform",

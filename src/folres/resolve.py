@@ -218,15 +218,16 @@ def resolve_along(
     without changing n, lambda or k.  The curve must have phi3 = T: any
     other raises NotGraph at the first blow-up.
 
-    The field is composed along the curve once per run: the first step
-    composes the factor-divisor representative rep = field / z^k along
+    The field is composed along the curve at most once per run: the first
+    step composes the factor-divisor representative rep = field / z^k along
     `phi` (`_factored` is factor_divisor(field, "z") when the caller has it),
-    and raises FolresError when the invariance residual of that image does
-    not vanish through its ledger.  Every later step carries the image,
-    residual included, through the blow-up and the move with
-    `separatrix._transport_image`, so it is never composed again.  The
-    blow-up has factored the divisor out of its field, and the move fixes
-    z, so no later step factors z^k.  Each step reads the
+    or reads that image from `phi` when `phi` was solved for this very rep
+    by `solve_graph_separatrix`, and raises FolresError when the invariance
+    residual of that image does not vanish through its ledger.  Every later
+    step carries the image, residual included, through the blow-up and the
+    move with `separatrix._transport_image`, so it is never composed again.
+    The blow-up has factored the divisor out of its field, and the move
+    fixes z, so no later step factors z^k.  Each step reads the
     multiplicity from its image and hands image, factoring and curve to
     `detect_persistent_normal_form`, which certifies the carried curve from
     the residual or names the check it fails; the driver never solves the
@@ -361,7 +362,9 @@ def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> comple
     if isinstance(rho, int):
         exponent, coeffs = rho, ()
     elif isinstance(rho, USeries):
-        exponent, coeffs = None, rho.coeffs[::-1]
+        # the zero coefficients above rho's degree add nothing to Horner
+        degree = max((k for k, c in enumerate(rho.coeffs) if c), default=0)
+        exponent, coeffs = None, rho.coeffs[degree::-1]
     else:
         raise TypeError("rho must be an integer exponent or a USeries")
 

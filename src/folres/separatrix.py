@@ -31,15 +31,21 @@ S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
 keeps one table of the rows of x^i y^j, each filled from the one before it
 in the chain x^f = x^(f-1) x, x^i y^g = x^i y^(g-1) y, and computes those
 rows and the composed coefficients on demand, memoized with the indices of
-their nonzero entries; once (x_d, y_d) is set it is reopened at d, which
-drops only the entries that x_d and y_d reach, and the verification reads
-the same composer.  Every product walks the smaller of its two supports.
-This is the online order of relaxed multiplication (van der Hoeven, "Relax,
-but don't be too lazy", J. Symb. Comp. 2002).
+their nonzero entries; once (x_d, y_d) is set to a nonzero pair it is
+reopened at d, which drops only the entries that x_d and y_d reach, and a
+zero pair reopens nothing, as every entry was computed with it; the
+verification reads the same composer.  Every product walks the smaller of
+its two supports.  This is the online order of relaxed multiplication (van
+der Hoeven, "Relax, but don't be too lazy", J. Symb. Comp. 2002).  The
+solved curve carries the composer's final rows of F o phi, G o phi and
+H o phi with the field they belong to, so `_curve_image`, and with it the
+resolution driver, reads that field's image along the curve and does not
+compose it again.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -60,12 +66,19 @@ from .vfield import VectorField
 
 @dataclass(frozen=True)
 class FormalCurve:
-    """Parameterized formal curve (phi1, phi2, phi3) in a parameter T."""
+    """Parameterized formal curve (phi1, phi2, phi3) in a parameter T.
+
+    A curve from `solve_graph_separatrix` carries, in ``_image``, the pair
+    (field, images) of the field it was solved for and that field's
+    components composed along it, as `compose_curve` would give them, so
+    `_curve_image` reads them instead of composing again.
+    """
 
     phi1: USeries
     phi2: USeries
     phi3: USeries
     parameter_power: int = 1
+    _image: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
 
     @staticmethod
     def graph(a: USeries, b: USeries) -> "FormalCurve":
@@ -122,8 +135,13 @@ class ResidualReport:
 
 def _curve_image(field: VectorField, phi: FormalCurve):
     """(X o phi, phi', residual), the one composition behind residual and
-    multiplicity."""
-    images = [compose_curve(c, phi.components) for c in field.components]
+    multiplicity.  A solved curve's images of the very field it was solved
+    for (``phi._image``) are read, not composed again."""
+    carried = phi._image
+    if carried is not None and carried[0] is field:
+        images = list(carried[1])
+    else:
+        images = [compose_curve(c, phi.components) for c in field.components]
     derivs = [c.derivative() for c in phi.components]
     return images, derivs, _residual(images, derivs)
 
@@ -290,12 +308,16 @@ class _Composer:
     is kept the same way, a row filled in order with its nz list, in
     ``memo`` under its tag with its lag and its groups.
 
-    After the solver writes a[d] and b[d] it calls ``reopen(d)``.  As a and
-    b have no constant term, they reach entry s of a^i b^j only when
+    After the solver writes a nonzero pair a[d], b[d] it calls
+    ``reopen(d)``; after a zero pair it does not, as every entry was
+    computed with a[d] = b[d] = 0 and stays right.  As a and b have no
+    constant term, they reach entry s of a^i b^j only when
     s >= d + i + j - 1, so every row but the unit, a and b is cut there,
-    and the composed row of S at d + lag, lag the least i + j + k - 1 over the terms
-    x^i y^j z^k of S with i + j >= 1; the entries below the cut are final.
-    A series with no such term gets lag = cap, and its row is never cut.
+    and the composed row of S at d + lag, lag the least i + j + k - 1 over
+    the terms x^i y^j z^k of S with i + j >= 1; the entries below the cut
+    are final.  A series with no such term gets lag = cap, and its row is
+    never cut.  ``image`` reads a composed row as a series once the solve
+    is done.
     """
 
     def __init__(self, a, nz_a, b, nz_b, cap: int):
@@ -371,6 +393,11 @@ class _Composer:
                 nz.append(t)
         return row[m]
 
+    def image(self, series: MSeries, t: int, tag) -> USeries:
+        """series o phi through degree t, as `compose_curve` gives it."""
+        self.coeff(series, t, tag)
+        return USeries._clean(self.memo[tag][0][: t + 1], t)
+
     def reopen(self, d: int) -> None:
         """Forget every entry that a[d] and b[d] reach, after they were set."""
         for i, rows in enumerate(self.rows):
@@ -405,6 +432,9 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
 
     Returns the curve with every coefficient through `degree` determined (or
     through the largest degree the field's ledger supports, if smaller).
+    The curve carries the field's image along it, as `_curve_image` reads
+    it: the composer's rows of F, G and H through
+    min(field.trunc, curve ledger), the ledger `compose_curve` gives.
     Raises Obstructed when a residual coefficient cannot be matched and
     NotGraphParameterizable when the system is not z-parameterized, or when
     the field's ledger pins not even the degree-1 pair (as for the radial
@@ -453,12 +483,14 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         rows = [_schedule_row(residual, column, r, frontiers[r], cap, d) for r in (0, 1)]
         if rows[0] is None or rows[1] is None:
             break  # ledger exhausted before both unknowns are pinned
-        for r, c in enumerate(_solve_two_by_two(*rows, d)):
+        pair = _solve_two_by_two(*rows, d)
+        for r, c in enumerate(pair):
             xs[r][d], dxs[r][d - 1] = c, c * d
             if c:
                 nz_xs[r].append(d)
                 nz_dxs[r].append(d - 1)
-        comp.reopen(d)
+        if any(pair):  # every entry was computed with this pair at zero
+            comp.reopen(d)
         # verify every residual coefficient between the old and new frontiers
         for r, name in enumerate(("first", "second")):
             for m in range(frontiers[r] + 1, rows[r][0] + 1):
@@ -473,7 +505,12 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         raise NotGraphParameterizable(
             f"no degree of the graph series is pinned within the field ledger {cap}"
         )
-    return FormalCurve.graph(*(USeries._clean(x[: solved + 1], solved) for x in xs))
+    # the composer's rows through min(field.trunc, solved), compose_curve's
+    # ledger: entry m reads x_1..x_m and y_1..y_m only, all of them final
+    t = min(cap, solved)
+    images = tuple(comp.image(s, t, tag) for s, tag in (*S, (H, "H")))
+    a, b = (USeries._clean(x[: solved + 1], solved) for x in xs)
+    return FormalCurve(a, b, USeries.identity(solved), _image=(field, images))
 
 
 def _axis_valuation(H: MSeries):

@@ -426,17 +426,21 @@ def test_resolve_rejects_a_curve_that_is_not_invariant(tmp_path, capsys, field, 
 
 
 @pytest.mark.parametrize(
-    "argv, steps",
+    "argv, steps, compositions",
     [
-        (["resolve", "[y - z, x*z, z^3]", "--trunc", "24"], 3),
-        (EXACT_CASES["resolve_divisor_k1"], 1),
+        (["resolve", "[y - z, x*z, z^3]", "--trunc", "24"], 3, 0),
+        (EXACT_CASES["resolve_divisor_k1"], 1, 0),
+        (["resolve", "[y, x*z, z^3]", "--separatrix", "axis", "--no-match-stop",
+          "--max-steps", "3"], 4, 3),
     ],
-    ids=["xlambda-three-steps", "divisor-k1-one-step"],
+    ids=["xlambda-three-steps", "divisor-k1-one-step", "axis-four-steps"],
 )
-def test_resolve_composes_each_step_image_once(argv, steps, capsys, monkeypatch):
+def test_resolve_composes_each_step_image_once(argv, steps, compositions, capsys, monkeypatch):
     # the residual check and the driver's first step share one image, and
-    # each later step carries it through its blow-up: three compositions per
-    # run (one per field component), however many steps, and none besides
+    # each later step carries it through its blow-up.  A solved separatrix
+    # brings the solver's image of the field it was solved for, so the run
+    # composes nothing; any other curve is composed once per field
+    # component, however many steps
     import folres.separatrix as sx
 
     original = sx.compose_curve
@@ -450,7 +454,7 @@ def test_resolve_composes_each_step_image_once(argv, steps, capsys, monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert len(json.loads(out)["steps"]) == steps
-    assert len(calls) == 3
+    assert len(calls) == compositions
 
 
 def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
@@ -598,6 +602,9 @@ def test_negative_max_steps_exit_code(capsys):
         (["timeform", "--turns", "x"], "--turns"),
         (["holonomy", "--alpha", "1e400", "--beta", "1"], "--alpha"),
         (["holonomy", "--alpha", "1", "--beta=-1e400"], "--beta"),
+        # refused at once, not after seconds of quadrature
+        (["timeform", "--turns", "1e400"], "--turns"),
+        (["timeform", "--turns=-1e400"], "--turns"),
     ],
 )
 def test_bad_rational_flag_exit_code(args, flag, capsys):
@@ -771,8 +778,9 @@ def test_holonomy_argv_fuzz_ends_in_a_documented_exit_code(alpha, beta):
     rho=st.one_of(st.none(), st.sampled_from(["x^2 + 1", "1 - x", "x^3", "x*y", "0", "x^"])),
     x0_re=st.one_of(st.none(), _RATIONALS, _FLAG_VALUES),
     x0_im=st.one_of(st.none(), _RATIONALS, _FLAG_VALUES),
-    # 10^400 turns is a rational whose quadrature takes seconds to fail
-    turns=st.one_of(st.none(), _RATIONALS, _JUNK, _OVERLONG, st.sampled_from(["nan", "inf"])),
+    # a --turns past the float range, 1e400 included, is refused before
+    # any quadrature
+    turns=st.one_of(st.none(), _RATIONALS, _JUNK, _OVERLONG, _PAST_FLOAT),
 )
 def test_timeform_argv_fuzz_ends_in_a_documented_exit_code(exponent, rho, x0_re, x0_im, turns):
     # an omitted flag takes its default, and about a third of the runs pass

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from folres.errors import (
 from folres.parsing import parse_field
 from folres.scalars import ONE, ZERO
 from folres.series import MSeries, USeries, compose_curve, convolve
+import folres.separatrix as sx
 from folres.separatrix import (
     FormalCurve,
     _Composer,
+    _curve_image,
     _deriv_conv,
     _product_coeff,
     invariance_residual,
@@ -382,6 +385,93 @@ def _dense_composition(s: MSeries, a, b, t: int) -> list:
         for n in range(t + 1 - k):
             out[n + k] = out[n + k] + c * p[n]
     return out
+
+
+# (alpha, beta, lam) of degenerate-family fields whose graph solve is not
+# obstructed: the z-axis (lam = 0), a nonzero series, and one that truncates
+_FAMILY_PARAMETERS = [
+    (0, 1, 0), (0, 0, 0), (Fraction(1, 2), 2, 0),
+    (Fraction(1, 2), -2, 1), (-3, 1, 1), (2, Fraction(1, 3), -1),
+]
+
+
+def _solved_field(rng, kind: str, trunc: int) -> VectorField:
+    if kind == "normal form":
+        return rand_normal_form(rng, trunc)[0]
+    if kind == "xlambda":
+        return field_xlambda(rng.choice([1, 2, -1, Fraction(1, 2), Fraction(-3, 2)]), trunc)
+    return field_degenerate_family(*rng.choice(_FAMILY_PARAMETERS), trunc=trunc)
+
+
+def _count_compositions(monkeypatch) -> list:
+    calls = []
+    original = sx.compose_curve
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sx, "compose_curve", counted)
+    return calls
+
+
+class TestCarriedImage:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal form", "xlambda", "degenerate family"]),
+        st.integers(8, 16),
+        st.integers(1, 17),
+    )
+    def test_carried_images_equal_compose_curve(self, seed, kind, trunc, degree):
+        X = _solved_field(random.Random(seed), kind, trunc)
+        curve = solve_graph_separatrix(X, degree)
+        field, images = curve._image
+        assert field is X
+        for image, component in zip(images, X.components):
+            composed = compose_curve(component, curve.components)
+            assert image.trunc == composed.trunc
+            assert image.coeffs == composed.coeffs
+        # the residual read from the carried images is the recomposed one
+        assert _curve_image(X, curve)[2] == invariance_residual(VectorField(*X.components), curve)
+
+    def test_an_equal_but_distinct_field_is_composed(self, monkeypatch):
+        X = field_xlambda(1, 20)
+        curve = solve_graph_separatrix(X, 19)
+        calls = _count_compositions(monkeypatch)
+        carried = _curve_image(X, curve)
+        assert calls == []
+        Y = VectorField(*X.components)
+        assert Y.eq_trusted(X) and Y is not X
+        composed = _curve_image(Y, curve)
+        assert len(calls) == 3
+        assert [im.coeffs for im in carried[0]] == [im.coeffs for im in composed[0]]
+        assert carried[2] == composed[2]
+        # the carried image takes no part in a curve's equality or repr
+        plain = dataclasses.replace(curve, _image=None)
+        assert curve == plain and hash(curve) == hash(plain) and repr(curve) == repr(plain)
+
+    @pytest.mark.parametrize(
+        "X, degree",
+        [(field_degenerate_family(0, 1, trunc=24), 20), (field_xlambda(1, 24), 20)],
+        ids=["degenerate-family-z-axis", "xlambda"],
+    )
+    def test_only_a_nonzero_pair_reopens(self, X, degree, monkeypatch):
+        # every memoized entry was computed with a zero pair, which a zero
+        # pair leaves true; X_lambda has x on degrees 2 mod 3 and y on
+        # degrees 1 mod 3, so its multiples of 3 reopen nothing
+        reopened = []
+        original = _Composer.reopen
+
+        def recorded(self, d):
+            reopened.append(d)
+            return original(self, d)
+
+        monkeypatch.setattr(_Composer, "reopen", recorded)
+        curve = solve_graph_separatrix(X, degree)
+        assert curve.ledger == degree
+        nonzero = [d for d in range(1, degree + 1) if curve.phi1.coeffs[d] or curve.phi2.coeffs[d]]
+        assert reopened == nonzero
 
 
 class TestTransformCurve:
