@@ -2,15 +2,15 @@
 """Check one untraced benchmark smoke run, read from standard input.
 
     python3 bench/run.py --workload W --seed S --seconds 1 --trace 0 \\
-        | python3 ci/check_bench_smoke.py W S [RECORDED.json]
+        | python3 ci/check_bench_smoke.py W S
 
 The run's last line must report its outputs correct and no operation
 failed.  At seed 1 the output_digest of its "# meta" line must also equal
-the trace0 output_digest of workload W in RECORDED.json, by default the
-newest BENCH_*.json at the root of the repository, so a change of any
-workload output fails; a change that alters outputs on purpose records the
-new digests in its own BENCH_*.json.  Exits nonzero with a message naming
-the workload on any mismatch.
+the trace0 output_digest of workload W in the newest BENCH_*.json at the
+root of the repository, so a change of any workload output fails; a change
+that alters outputs on purpose records the new digests in its own
+BENCH_*.json.  Exits nonzero with a message naming the workload on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ def check(lines: list, workload: str, seed: str, recorded: Path) -> str | None:
 
 
 def main(argv: list) -> int:
-    workload, seed = argv[:2]
-    recorded = Path(argv[2]) if len(argv) > 2 else newest_results()
-    reason = check(sys.stdin.read().splitlines(), workload, seed, recorded)
+    workload, seed = argv
+    reason = check(sys.stdin.read().splitlines(), workload, seed, newest_results())
     if reason is not None:
         print(reason, file=sys.stderr)
         return 1
