@@ -3,6 +3,9 @@
 Subcommands: classify | blowup | resolve | holonomy | timeform.  Every
 command emits one deterministic JSON document (compact by default,
 ``--pretty`` for indented output, ``--out FILE`` to write to a file).
+``resolve`` only parses, loads the curve of --separatrix (none for solve)
+and formats: `resolve_along` factors the field and solves or checks the
+separatrix.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
@@ -30,14 +33,8 @@ from .parsing import parse_field, parse_series
 from .scalars import GaussianRational
 from .series import USeries, format_mseries
 from .blowup import curve_chart, point_blowup, point_chart, curve_blowup, weight2_blowup
-from .separatrix import FormalCurve, solve_graph_separatrix
-from .vfield import (
-    LinearPart,
-    VectorField,
-    classify,
-    factor_divisor,
-    order_at_origin,
-)
+from .separatrix import FormalCurve
+from .vfield import LinearPart, VectorField, classify, order_at_origin
 
 DEFAULT_TRUNC = 24
 MAX_TRUNC = 1024
@@ -126,12 +123,12 @@ def cmd_blowup(args) -> dict:
     }
 
 
-def _load_curve(args, field: VectorField, rep: VectorField) -> FormalCurve:
-    """The curve of --separatrix; rep is the field with z^k factored out."""
+def _load_curve(args, field: VectorField) -> FormalCurve | None:
+    """The curve of --separatrix; None for solve, which resolve_along makes."""
     if args.separatrix == "axis":
         return FormalCurve.z_axis(max(field.trunc - 1, 1))
     if args.separatrix == "solve":
-        return solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        return None
     if not args.separatrix_file:
         raise FolresError("--separatrix file requires --separatrix-file PATH")
     try:
@@ -166,15 +163,9 @@ def _load_scalar(c) -> GaussianRational:
 
 def cmd_resolve(args) -> dict:
     field = parse_field(args.field, args.trunc)
-    k, rep = factor_divisor(field, "z")
-    curve = _load_curve(args, field, rep)
-    # resolve_along checks that the curve is invariant for rep
+    # resolve_along solves the separatrix or checks that the curve is invariant
     trace = rs.resolve_along(
-        field,
-        curve,
-        args.max_steps,
-        stop_on_match=not args.no_match_stop,
-        _factored=(k, rep),
+        field, _load_curve(args, field), args.max_steps, stop_on_match=not args.no_match_stop
     )
     steps = []
     for s in trace.steps:
@@ -202,7 +193,7 @@ def cmd_resolve(args) -> dict:
     if trace.report is not None:
         verdict = rs.semicomplete_obstruction(trace.report)
         holonomy = None
-        if verdict == rs.INCONCLUSIVE and trace.final_field is not None:
+        if verdict == rs.INCONCLUSIVE:
             params = rs.degenerate_family_parameters(trace.final_field)
             if params is not None:
                 alpha, beta = params

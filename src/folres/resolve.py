@@ -32,6 +32,7 @@ from .scalars import GaussianRational
 from .separatrix import (
     FormalCurve,
     _curve_image,
+    _image_of,
     _multiplicity,
     _transport_image,
     solve_graph_separatrix,
@@ -196,11 +197,9 @@ class ResolutionTrace:
 
 def resolve_along(
     field: VectorField,
-    phi: FormalCurve,
+    phi: FormalCurve | None,
     max_steps: int,
     stop_on_match: bool = False,
-    *,
-    _factored=None,
 ) -> ResolutionTrace:
     """Follow the separatrix through one-point blow-ups.
 
@@ -218,29 +217,36 @@ def resolve_along(
     without changing n, lambda or k.  The curve must have phi3 = T: any
     other raises NotGraph at the first blow-up.
 
-    The field is composed along the curve at most once per run: the first
-    step composes the factor-divisor representative rep = field / z^k along
-    `phi` (`_factored` is factor_divisor(field, "z") when the caller has it),
-    or reads that image from `phi` when `phi` was solved for this very rep
-    by `solve_graph_separatrix`, and raises FolresError when the invariance
-    residual of that image does not vanish through its ledger.  Every later
-    step carries the image, residual included, through the blow-up and the
-    move with `separatrix._transport_image`, so it is never composed again.
-    The blow-up has factored the divisor out of its field, and the move
-    fixes z, so no later step factors z^k.  Each step reads the
-    multiplicity from its image and hands image, factoring and curve to
+    The field is factored once, into z^k and rep = field / z^k, and
+    composed along the curve at most once per run.  With `phi` None the
+    driver solves rep's graph separatrix to max(rep.trunc - 1, 1), as
+    `detect_persistent_normal_form` solves when given no curve, and reads
+    the solver's rows of rep along it as its first image, so it composes
+    nothing; a given `phi` is composed with rep.  Either way FolresError is
+    raised when the invariance residual of that image does not vanish
+    through its ledger.  Every later step carries the image, residual
+    included, through the blow-up and the move with
+    `separatrix._transport_image`, so it is never composed again.  The
+    blow-up has factored the divisor out of its field, and the move fixes
+    z, so no later step factors z^k.  Each step reads the multiplicity from
+    its image and hands image, factoring and curve to
     `detect_persistent_normal_form`, which certifies the carried curve from
-    the residual or names the check it fails; the driver never solves the
-    separatrix.  A step whose transport fails composes its image once, and
-    the steps after it carry that one.  A curve off the origin raises at the
+    the residual or names the check it fails; no step solves the separatrix
+    again.  A step whose transport fails composes its image once, and the
+    steps after it carry that one.  A curve off the origin raises at the
     first composition.
     """
     steps = []
     current = field
-    curve = phi
     chart = point_chart("z")
-    factored = _factored or factor_divisor(field, "z")
-    image = _curve_image(factored[1], curve)
+    factored = factor_divisor(field, "z")
+    rep = factored[1]
+    if phi is None:
+        curve = solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        image = _image_of(curve, curve._image)
+    else:
+        curve = phi
+        image = _curve_image(rep, curve)
     if not image[2].full:
         raise FolresError(
             f"separatrix residual vanishes only through degree {image[2].order}"

@@ -38,9 +38,8 @@ verification reads the same composer.  Every product walks the smaller of
 its two supports.  This is the online order of relaxed multiplication (van
 der Hoeven, "Relax, but don't be too lazy", J. Symb. Comp. 2002).  The
 solved curve carries the composer's final rows of F o phi, G o phi and
-H o phi with the field they belong to, so `_curve_image`, and with it the
-resolution driver, reads that field's image along the curve and does not
-compose it again.
+H o phi, which `resolve_along`, solving its own separatrix, reads as its
+first image instead of composing the field again.
 """
 
 from __future__ import annotations
@@ -68,10 +67,10 @@ from .vfield import VectorField
 class FormalCurve:
     """Parameterized formal curve (phi1, phi2, phi3) in a parameter T.
 
-    A curve from `solve_graph_separatrix` carries, in ``_image``, the pair
-    (field, images) of the field it was solved for and that field's
-    components composed along it, as `compose_curve` would give them, so
-    `_curve_image` reads them instead of composing again.
+    A curve from `solve_graph_separatrix` carries, in ``_image``, the
+    components of the field it was solved for composed along it, as
+    `compose_curve` would give them; only `resolve_along`, which makes the
+    solve, reads them.  They take no part in equality, hash or repr.
     """
 
     phi1: USeries
@@ -135,13 +134,12 @@ class ResidualReport:
 
 def _curve_image(field: VectorField, phi: FormalCurve):
     """(X o phi, phi', residual), the one composition behind residual and
-    multiplicity.  A solved curve's images of the very field it was solved
-    for (``phi._image``) are read, not composed again."""
-    carried = phi._image
-    if carried is not None and carried[0] is field:
-        images = list(carried[1])
-    else:
-        images = [compose_curve(c, phi.components) for c in field.components]
+    multiplicity."""
+    return _image_of(phi, [compose_curve(c, phi.components) for c in field.components])
+
+
+def _image_of(phi: FormalCurve, images):
+    """The image (X o phi, phi', residual) from the images X o phi."""
     derivs = [c.derivative() for c in phi.components]
     return images, derivs, _residual(images, derivs)
 
@@ -184,9 +182,7 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
         out.append(j - j3.scale(a1) if a1 else j)
     out.append(j3)
     t = min(trunc, curve.ledger)
-    images = [c.retrunc(min(t, c.trunc)) for c in out]
-    derivs = [c.derivative() for c in curve.components]
-    return images, derivs, _residual(images, derivs)
+    return _image_of(curve, [c.retrunc(min(t, c.trunc)) for c in out])
 
 
 def _times_power(s: USeries, n: int) -> USeries:
@@ -432,8 +428,8 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
 
     Returns the curve with every coefficient through `degree` determined (or
     through the largest degree the field's ledger supports, if smaller).
-    The curve carries the field's image along it, as `_curve_image` reads
-    it: the composer's rows of F, G and H through
+    The curve carries the field's image along it in ``_image``, which
+    `resolve_along` reads: the composer's rows of F, G and H through
     min(field.trunc, curve ledger), the ledger `compose_curve` gives.
     Raises Obstructed when a residual coefficient cannot be matched and
     NotGraphParameterizable when the system is not z-parameterized, or when
@@ -510,7 +506,7 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     t = min(cap, solved)
     images = tuple(comp.image(s, t, tag) for s, tag in (*S, (H, "H")))
     a, b = (USeries._clean(x[: solved + 1], solved) for x in xs)
-    return FormalCurve(a, b, USeries.identity(solved), _image=(field, images))
+    return FormalCurve(a, b, USeries.identity(solved), _image=images)
 
 
 def _axis_valuation(H: MSeries):

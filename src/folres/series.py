@@ -312,6 +312,15 @@ class USeries:
         t = min(self.trunc, other.trunc)
         return all(self.coeffs[k] == other.coeffs[k] for k in range(t + 1))
 
+    def __eq__(self, other) -> bool:
+        """The same ledger and coefficients (`eq_trusted` reads both ledgers' min)."""
+        if not isinstance(other, USeries):
+            return NotImplemented
+        return self.trunc == other.trunc and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.trunc, self.coeffs))
+
     def __repr__(self):
         terms = [
             f"{c}*T^{k}" for k, c in enumerate(self.coeffs) if c

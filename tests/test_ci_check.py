@@ -1,6 +1,7 @@
-"""ci/check_bench_smoke.py, the check both CI jobs run on each benchmark
-smoke run: correct outputs, no failed operation, and at seed 1 the recorded
-output digest."""
+"""The CI checks: ci/check_bench_smoke.py, which both CI jobs run on each
+benchmark smoke run (correct outputs, no failed operation, and at seed 1 the
+recorded output digest), and ci/check_tier1_report.py, which reads the
+Tier-1 JUnit report (no failure besides criterion 07)."""
 
 import json
 import sys
@@ -11,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ci"))
 
 import check_bench_smoke  # noqa: E402
+import check_tier1_report  # noqa: E402
 
 
 def _run_lines(digest="553f3b45eac1c091", correct=True, failed=0):
@@ -51,3 +53,60 @@ def test_newest_results_orders_by_number():
     # not the last by name
     newest = check_bench_smoke.newest_results()
     assert int(newest.stem[len("BENCH_"):]) >= 23
+
+
+def _report(tmp_path, *cases):
+    """A JUnit report of the given testcase elements, each one passing
+    unless it holds a failure or an error."""
+    path = tmp_path / "tier1-report.xml"
+    path.write_text(
+        '<testsuites><testsuite name="pytest">'
+        + "".join(cases)
+        + "</testsuite></testsuites>"
+    )
+    return str(path)
+
+
+def _case(classname, name, outcome=""):
+    return f'<testcase classname="{classname}" name="{name}">{outcome}</testcase>'
+
+
+FAILED = '<failure message="assert False">assert False</failure>'
+
+
+def _criterion_07(outcome=FAILED):
+    return _case("tests.test_acceptance", "test_criterion_07_holonomy_grid_and_loop_transport", outcome)
+
+
+def test_tier1_check_passes_on_criterion_07_alone(tmp_path, capsys):
+    report = _report(
+        tmp_path,
+        _criterion_07(),
+        _case("tests.test_cli", "test_golden_exact"),
+    )
+    assert check_tier1_report.main([report]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "outcome", [FAILED, '<error message="collection failure">ImportError</error>']
+)
+def test_tier1_check_names_any_other_failure(tmp_path, capsys, outcome):
+    report = _report(
+        tmp_path,
+        _criterion_07(),
+        _case("tests.test_cli", "test_golden_exact", outcome),
+    )
+    assert check_tier1_report.main([report]) == 1
+    assert capsys.readouterr().out == "failed: tests.test_cli::test_golden_exact\n"
+
+
+def test_tier1_check_fails_on_a_missing_report(tmp_path, capsys):
+    assert check_tier1_report.main([str(tmp_path / "tier1-report.xml")]) == 1
+    assert "cannot read the Tier-1 report" in capsys.readouterr().err
+
+
+def test_tier1_check_fails_when_criterion_07_passes(tmp_path, capsys):
+    report = _report(tmp_path, _criterion_07(outcome=""))
+    assert check_tier1_report.main([report]) == 1
+    assert capsys.readouterr().err == "criterion 07 passes: its known failure is gone, see README\n"

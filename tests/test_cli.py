@@ -437,8 +437,8 @@ def test_resolve_rejects_a_curve_that_is_not_invariant(tmp_path, capsys, field, 
 )
 def test_resolve_composes_each_step_image_once(argv, steps, compositions, capsys, monkeypatch):
     # the residual check and the driver's first step share one image, and
-    # each later step carries it through its blow-up.  A solved separatrix
-    # brings the solver's image of the field it was solved for, so the run
+    # each later step carries it through its blow-up.  The driver reads the
+    # image of the separatrix it solves from the solver, so the run
     # composes nothing; any other curve is composed once per field
     # component, however many steps
     import folres.separatrix as sx
@@ -463,7 +463,6 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
     # is counted: the input's, and none at the two later steps, whose
     # blow-up has already divided its field by the divisor (that chart
     # division, a different field, is not counted)
-    import folres.cli
     import folres.resolve
     import folres.vfield
 
@@ -474,7 +473,7 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
         calls.append(1)
         return original(*args)
 
-    for module in (folres.cli, folres.resolve, folres.vfield):
+    for module in (folres.resolve, folres.vfield):
         monkeypatch.setattr(module, "factor_divisor", counted)
     code, out = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
     assert code == 0
@@ -485,7 +484,6 @@ def test_resolve_factors_the_input_field_once(capsys, monkeypatch):
 def test_resolve_solves_one_separatrix_per_run(capsys, monkeypatch):
     # --separatrix solve solves the input's separatrix once; every step of
     # the driver certifies the curve it carries, the tangency-1 one included
-    import folres.cli
     import folres.resolve
     import folres.separatrix
 
@@ -496,7 +494,7 @@ def test_resolve_solves_one_separatrix_per_run(capsys, monkeypatch):
         calls.append(args[1])
         return original(*args)
 
-    for module in (folres.cli, folres.resolve, folres.separatrix):
+    for module in (folres.resolve, folres.separatrix):
         monkeypatch.setattr(module, "solve_graph_separatrix", counted)
     code, out = run_cli(["resolve", "[y - z, x*z, z^3]"], capsys)
     assert code == 0

@@ -698,9 +698,7 @@ class TestCoordinateIndependence:
 
     @staticmethod
     def _resolution(field):
-        k, rep = factor_divisor(field, "z")
-        curve = solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
-        trace = resolve_along(field, curve, 3)
+        trace = resolve_along(field, None, 3)
         r = trace.report
         return trace.outcome, r and (r.n, r.lam, r.k), trace.mult_sequence()
 

@@ -13,13 +13,13 @@ from folres.errors import (
     ZeroAlongCurve,
 )
 from folres.parsing import parse_field
+from folres.resolve import resolve_along
 from folres.scalars import ONE, ZERO
 from folres.series import MSeries, USeries, compose_curve, convolve
 import folres.separatrix as sx
 from folres.separatrix import (
     FormalCurve,
     _Composer,
-    _curve_image,
     _deriv_conv,
     _product_coeff,
     invariance_residual,
@@ -32,6 +32,7 @@ from folres.vfield import (
     PolyMap,
     VectorField,
     conjugate,
+    factor_divisor,
     nilpotent_normal_form_full,
 )
 
@@ -403,6 +404,13 @@ def _solved_field(rng, kind: str, trunc: int) -> VectorField:
     return field_degenerate_family(*rng.choice(_FAMILY_PARAMETERS), trunc=trunc)
 
 
+def _trace_key(trace):
+    """Each step's class, multiplicity, tangency, reason and report, with
+    the outcome and the final report."""
+    steps = [(s.cls.tag, s.mult, s.tangency, s.no_match_reason, s.report) for s in trace.steps]
+    return steps, trace.outcome, trace.report
+
+
 def _count_compositions(monkeypatch) -> list:
     calls = []
     original = sx.compose_curve
@@ -426,30 +434,66 @@ class TestCarriedImage:
     def test_carried_images_equal_compose_curve(self, seed, kind, trunc, degree):
         X = _solved_field(random.Random(seed), kind, trunc)
         curve = solve_graph_separatrix(X, degree)
-        field, images = curve._image
-        assert field is X
-        for image, component in zip(images, X.components):
+        for image, component in zip(curve._image, X.components):
             composed = compose_curve(component, curve.components)
             assert image.trunc == composed.trunc
             assert image.coeffs == composed.coeffs
-        # the residual read from the carried images is the recomposed one
-        assert _curve_image(X, curve)[2] == invariance_residual(VectorField(*X.components), curve)
 
-    def test_an_equal_but_distinct_field_is_composed(self, monkeypatch):
+    def test_resolve_along_composes_nothing_for_its_own_solve(self, monkeypatch):
         X = field_xlambda(1, 20)
-        curve = solve_graph_separatrix(X, 19)
         calls = _count_compositions(monkeypatch)
-        carried = _curve_image(X, curve)
+        trace = resolve_along(X, None, 3)
         assert calls == []
-        Y = VectorField(*X.components)
-        assert Y.eq_trusted(X) and Y is not X
-        composed = _curve_image(Y, curve)
+        assert len(trace.steps) == 4
+        # a given curve, solved or not, is composed once per field component
+        resolve_along(X, solve_graph_separatrix(X, 19), 3)
         assert len(calls) == 3
-        assert [im.coeffs for im in carried[0]] == [im.coeffs for im in composed[0]]
-        assert carried[2] == composed[2]
-        # the carried image takes no part in a curve's equality or repr
+
+    def test_the_carried_image_is_not_part_of_the_curve(self):
+        curve = solve_graph_separatrix(field_xlambda(1, 20), 19)
         plain = dataclasses.replace(curve, _image=None)
         assert curve == plain and hash(curve) == hash(plain) and repr(curve) == repr(plain)
+
+    def test_a_rebuilt_graph_curve_equals_the_solved_one(self):
+        # USeries compares by ledger and coefficients, so a curve rebuilt
+        # from the solved series, with a new phi3 = T, equals it
+        curve = solve_graph_separatrix(field_xlambda(1, 20), 19)
+        rebuilt = FormalCurve.graph(curve.phi1, curve.phi2)
+        assert rebuilt.phi3 is not curve.phi3
+        assert rebuilt == curve and hash(rebuilt) == hash(curve)
+        assert FormalCurve.graph(curve.phi1.retrunc(18), curve.phi2.retrunc(18)) != curve
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(0, 1), stop=st.booleans())
+    def test_resolve_along_solves_as_its_caller_would(self, seed, k, stop):
+        # resolve_along(f, None) reads the solver's image of rep; handing it
+        # the solved curve composes that image instead, step for step alike
+        X, _, _ = rand_normal_form(random.Random(seed), 16)
+        field = X.map(lambda c: c * MSeries.monomial(1, (0, 0, k), 16)) if k else X
+        rep = factor_divisor(field, "z")[1]
+        own = resolve_along(field, None, 3, stop_on_match=stop)
+        solved = solve_graph_separatrix(rep, rep.trunc - 1)
+        assert _trace_key(own) == _trace_key(resolve_along(field, solved, 3, stop_on_match=stop))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[y*z, z^3, z^2 + x]", Obstructed),
+            ("[x + y, z^3, z^2 + x]", Obstructed),
+            # rep = [y*z, z^3, z^2 + x]: the solve is of the factored field
+            ("[y*z^2, z^4, z^3 + x*z]", Obstructed),
+            ("[y, x*z, x]", NotGraphParameterizable),
+            ("[x, y, z]", NotGraphParameterizable),
+        ],
+    )
+    def test_resolve_along_raises_what_the_solver_raises(self, text, error):
+        field = parse_field(text, 16)
+        rep = factor_divisor(field, "z")[1]
+        with pytest.raises(error) as solved:
+            solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        with pytest.raises(error) as resolved:
+            resolve_along(field, None, 3)
+        assert str(resolved.value) == str(solved.value)
 
     @pytest.mark.parametrize(
         "X, degree",
