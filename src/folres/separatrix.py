@@ -26,6 +26,13 @@ m < 2d - 1 (m < 2d when H has no linear x or y term); at or above that
 degree the 2x2 solve linearises at x_d = y_d = 0, and its error is reported
 as an obstruction even where a graph separatrix exists.
 
+A degree whose two scheduled residual values are both zero takes the zero
+pair, which a zero right-hand side always gives, with no 2x2 solve, no
+reopen and no second read of those values.  The columns are kept per lag
+e = m - d as [r = u] d h + K, h = (H o phi)_{e+1} and K the rest of the
+column formula: both read x_1..x_{e+1} only, so once d > e + 1 they are
+final and each later column is d h + K, with no composer call.
+
 A solve keeps one composer for all its degrees.  Coefficient m of
 S o (x(z), y(z), z) depends only on x_0..x_m and y_0..y_m, so the composer
 keeps one table of the rows of x^i y^j, each filled from the one before it
@@ -438,11 +445,12 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
     """
     F, G, H = field.components
     h_axis = _axis_valuation(H)
+    cap = field.trunc
     if h_axis is None or h_axis < 1:
         raise NotGraphParameterizable(
-            "third component has no positive-order part on the z-axis"
+            "third component has no positive-order part on the z-axis "
+            f"through the field ledger {cap}"
         )
-    cap = field.trunc
     if degree < 1:
         raise ValueError("degree must be positive")
     # row r is x_r'(z) (H o phi) - S_r o phi, with (x_0, x_1) = (x, y) and
@@ -461,17 +469,24 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         s, tag = S[r]
         return _deriv_conv(dxs[r], nz_dxs[r], comp, H, m, "H") - comp.coeff(s, m, tag)
 
+    jacobian = {}  # (r, u, e) -> (h, K) of the lag e = m - d, once final
+
     def column(r, u, d, m):
-        """Coefficient of x_u[d] in degree m of residual r, by the column
-        formula of the module docstring."""
-        hu, tag = dH[u]
-        acc = _deriv_conv(dxs[r], nz_dxs[r], comp, hu, m - d, tag)
-        if r == u and m >= d - 1:
-            acc = comp.coeff(H, m - d + 1, "H") * d + acc
-        if m < d:
-            return acc
-        su, tag = dS[r][u]
-        return acc - comp.coeff(su, m - d, tag)
+        """Coefficient of x_u[d] in degree m of residual r, [r = u] d h + K
+        at the lag e = m - d (module docstring), (h, K) kept once final."""
+        e = m - d
+        hk = jacobian.get((r, u, e))
+        if hk is None:
+            hu, tag = dH[u]
+            k = _deriv_conv(dxs[r], nz_dxs[r], comp, hu, e, tag)
+            if e >= 0:
+                su, tag = dS[r][u]
+                k = k - comp.coeff(su, e, tag)
+            hk = (comp.coeff(H, e + 1, "H") if r == u and e >= -1 else ZERO, k)
+            if e + 1 < d:
+                jacobian[(r, u, e)] = hk
+        h, k = hk
+        return k if h is ZERO else h * d + k
 
     frontiers = [-1, -1]
     solved = 0
@@ -479,17 +494,19 @@ def solve_graph_separatrix(field: VectorField, degree: int) -> FormalCurve:
         rows = [_schedule_row(residual, column, r, frontiers[r], cap, d) for r in (0, 1)]
         if rows[0] is None or rows[1] is None:
             break  # ledger exhausted before both unknowns are pinned
-        pair = _solve_two_by_two(*rows, d)
-        for r, c in enumerate(pair):
-            xs[r][d], dxs[r][d - 1] = c, c * d
-            if c:
-                nz_xs[r].append(d)
-                nz_dxs[r].append(d - 1)
-        if any(pair):  # every entry was computed with this pair at zero
+        # a zero right-hand side gives the zero pair, which every entry was
+        # computed with, and the scheduled coefficients are known zero
+        zero = rows[0][1] is ZERO and rows[1][1] is ZERO
+        if not zero:
+            for r, c in enumerate(_solve_two_by_two(*rows, d)):
+                xs[r][d], dxs[r][d - 1] = c, c * d
+                if c:
+                    nz_xs[r].append(d)
+                    nz_dxs[r].append(d - 1)
             comp.reopen(d)
         # verify every residual coefficient between the old and new frontiers
         for r, name in enumerate(("first", "second")):
-            for m in range(frontiers[r] + 1, rows[r][0] + 1):
+            for m in range(frontiers[r] + 1, rows[r][0] + (not zero)):
                 val = residual(r, m)
                 if val:
                     raise Obstructed(

@@ -86,15 +86,30 @@ _new = object.__new__
 def convolve(a, b, t: int) -> list:
     """Coefficients 0..t of the product of two coefficient sequences.
 
-    The one dense product loop of the package: zero coefficients are skipped,
-    and entries of either input above degree t are never read.
+    The one dense product loop of the package: each input is read through
+    degree t only, each walks its nonzero entries, and every zero entry of
+    the result is ZERO.  A factor with one nonzero entry c T^k is a shift by
+    k plus one scaling pass unless c = 1, as in ``mul_terms``: a product by
+    phi3' = 1 or by H o phi = T^n costs O(t), not O(t^2).
     """
+    nz_a, nz_b = ([i for i, c in enumerate(s[: t + 1]) if c is not ZERO] for s in (a, b))
+    if len(nz_b) < len(nz_a):
+        a, nz_a, b, nz_b = b, nz_b, a, nz_a
     out = [ZERO] * (t + 1)
-    for i, ca in enumerate(a[: t + 1]):
-        if ca is not ZERO:
-            for j, cb in enumerate(b[: t + 1 - i]):
-                if cb is not ZERO:
-                    out[i + j] = out[i + j] + ca * cb
+    if len(nz_a) == 1:
+        k = nz_a[0]
+        c = None if a[k] == ONE else a[k]
+        for j in nz_b:
+            if j + k > t:
+                break
+            out[j + k] = b[j] if c is None else c * b[j]
+        return out
+    for i in nz_a:
+        ca = a[i]
+        for j in nz_b:
+            if i + j > t:
+                break
+            out[i + j] = out[i + j] + ca * b[j]
     return out
 
 

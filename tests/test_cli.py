@@ -670,6 +670,26 @@ def test_resolve_dicritical_field_exit_code(capsys):
     assert "ledger 24" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, ledger",
+    [
+        # the ledger cuts the z^3 of X_lambda, so H reads 0 on the z-axis
+        (["resolve", "[y - z, x*z, z^3]", "--trunc", "2"], 2),
+        # z^-1 X = [1, 0, 0] at ledger 23 has no third component at all
+        (["resolve", "[z, 0, 0]"], 23),
+    ],
+    ids=["xlambda-cut-by-ledger", "zero-third-component"],
+)
+def test_resolve_names_the_ledger_without_a_z_axis_term(argv, ledger, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "NotGraphParameterizable",
+        "message": "third component has no positive-order part on the z-axis "
+        f"through the field ledger {ledger}",
+    }
+
+
 def test_precision_exhausted_exit_code(capsys):
     code, out = run_cli(
         ["resolve", "[y - z, x*z, z^3]", "--trunc", "5", "--max-steps", "10"], capsys

@@ -517,6 +517,28 @@ class TestCarriedImage:
         nonzero = [d for d in range(1, degree + 1) if curve.phi1.coeffs[d] or curve.phi2.coeffs[d]]
         assert reopened == nonzero
 
+    @pytest.mark.parametrize(
+        "X, degree, solves",
+        [(field_degenerate_family(0, 1, trunc=24), 20, 0), (field_xlambda(1, 24), 20, 14)],
+        ids=["degenerate-family-z-axis", "xlambda"],
+    )
+    def test_only_a_nonzero_right_hand_side_is_solved(self, X, degree, solves, monkeypatch):
+        # a zero right-hand side gives the zero pair with no 2x2 solve, so the
+        # z-axis separatrix solves nothing and X_lambda solves only the
+        # degrees of its nonzero pairs, the 14 of 20 not divisible by 3
+        solved = []
+        original = sx._solve_two_by_two
+
+        def recorded(row_a, row_b, d):
+            solved.append(d)
+            return original(row_a, row_b, d)
+
+        monkeypatch.setattr(sx, "_solve_two_by_two", recorded)
+        curve = solve_graph_separatrix(X, degree)
+        assert curve.ledger == degree
+        nonzero = [d for d in range(1, degree + 1) if curve.phi1.coeffs[d] or curve.phi2.coeffs[d]]
+        assert solved == nonzero and len(solved) == solves
+
 
 class TestTransformCurve:
     def test_monomial_division(self):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from folres.errors import (
     InsufficientSupport,
@@ -16,6 +16,7 @@ from folres.series import (
     MSeries,
     USeries,
     compose_curve,
+    convolve,
     format_mseries,
     ratio_divergence_estimate,
 )
@@ -273,6 +274,36 @@ class TestShiftOrigin:
         shifts = (gr("1/2"), gr(-1), gr(2, 1))
         back = tuple(-c for c in shifts)
         assert s.shift_origin(shifts).shift_origin(back).eq_trusted(s)
+
+
+def _one_term(n, k, c):
+    out = [ZERO] * n
+    out[k % n] = c
+    return out
+
+
+# coefficient lists with no nonzero entry, one (c T^k, c = 1 among them) or many
+_factor = st.one_of(
+    st.integers(0, 10).map(lambda n: [ZERO] * n),
+    st.builds(_one_term, st.integers(1, 10), st.integers(0, 9), st.one_of(st.just(ONE), _gauss.filter(bool))),
+    st.lists(_gauss, max_size=10),
+)
+
+
+@given(a=_factor, b=_factor, t=st.integers(0, 14))
+@example(a=[ONE], b=[gr(2), ZERO, gr(1, 1)], t=4)  # a product by phi3' = 1
+@example(a=[gr(3), gr(-1), ZERO, gr(5)], b=[ZERO, ZERO, ZERO, ONE], t=5)  # by T^3
+@example(a=[gr(1, 2)] * 4, b=[ZERO, gr(-3), ZERO], t=2)  # by -3 T, cut below both lengths
+def test_convolve_equals_the_index_double_loop(a, b, t):
+    expected = [ZERO] * (t + 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            if i + j <= t:
+                expected[i + j] = expected[i + j] + u * v
+    out = convolve(a, b, t)
+    assert out == expected
+    # USeries._clean trusts every zero of a product to be the shared ZERO
+    assert all(c is ZERO for c in out if c == ZERO)
 
 
 class TestUSeries:
