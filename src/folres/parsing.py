@@ -2,11 +2,13 @@
 in x, y, z with Gaussian-rational coefficients.
 
 ``parse_field`` reads the printed form, the one ``format_field`` writes, with
-one compiled term pattern: each term is a sign, a coefficient ``n``, ``n/d``,
-``n/d*i``, ``i`` or ``(a/b+c/d*i)``, and a monomial ``x^i*y^j*z^k``, and it
-becomes one exponent triple and one canonical scalar.  At the first character
-that pattern does not match, the whole input goes to the recursive descent
-below, which reads all other input and raises every ``ParseError``.
+one match of a compiled pattern per term: a sign, a coefficient ``n``,
+``n/d``, ``n/d*i``, ``i`` or ``(a/b+c/d*i)``, a monomial ``x^i*y^j*z^k``, and
+what follows the term: ``,``, the closing ``]`` at the end of the input, or
+the next term's sign.  The term's integer triple and exponent triple are
+built from the match's groups.  At the first character that pattern does not
+read, the whole input goes to the recursive descent below, which reads all
+other input and raises every ``ParseError``.
 
 Grammar (whitespace ignored; positions are 0-based character offsets):
 
@@ -60,23 +62,21 @@ _MAX_POWER_BITS = MAX_EXPONENT * (
     10 ** (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - 1
 ).bit_length()
 
-# One printed term and the whitespace after it: a sign, then a coefficient
-# with an optional '*' and monomial, or a bare monomial.
-_TERM = re.compile(
-    r"""\s*([-+]?)\s*
-    (?P<coef>([0-9]+)(?:/([0-9]+))?(\*i)?                   # n, n/d, n*i, n/d*i
-      |(i)                                                # i
-      |\((-?[0-9]+)(?:/([0-9]+))?([-+])(?:([0-9]+)(?:/([0-9]+))?\*)?i\)    # (a/b+c/d*i)
-    )?
-    (?:(?(coef)\*)(?=[xyz])                               # x^i*y^j*z^k, in this order
-      (?P<x>x(?:\^([0-9]+))?)?
-      (?P<y>(?(x)\*)y(?:\^([0-9]+))?)?
-      ((?(x)\*|(?(y)\*))z(?:\^([0-9]+))?)?
-    )?\s*""",
-    re.VERBOSE,
+# One printed term and what follows it (module docstring); anything else is
+# the rest group.  An optional part is '(?:...|)', which re runs faster than
+# a '?' on a group.
+_PRINTED = re.compile(
+    r"""\s*(?:([-+])\s*|)(?=[0-9i(xyz])
+    (?:([0-9]+)(?:/([0-9]+)|)(\*i|)                                      # n, n/d, n*i, n/d*i
+      |(i)                                                               # i
+      |\((-?[0-9]+)(?:/([0-9]+)|)([-+])(?:([0-9]+)(?:/([0-9]+)|)\*|)i\)  # (a/b+c/d*i)
+      |)
+    (?:\*?(x)(?:\^([0-9]+)|)|)(?:\*?(y)(?:\^([0-9]+)|)|)(?:\*?(z)(?:\^([0-9]+)|)|)
+    \s*(?:(,)|(\])\s*\Z|(?=[-+]))
+    |(.+)""",
+    re.VERBOSE | re.DOTALL,
 )
 _OPEN = re.compile(r"\s*\[")
-_END = re.compile(r"\s*\Z")
 
 
 def _tokenize(src: str) -> list:
@@ -118,44 +118,6 @@ def _add_into(acc: dict, rhs: dict, negate: bool) -> None:
         _add_term(acc, m, -c if negate else c)
 
 
-def _printed_term(groups: tuple):
-    """The exponent triple and the coefficient of one match of ``_TERM``, or
-    None if it read no term, divides by zero or has an exponent past
-    ``MAX_EXPONENT``.  A numeral past Python's int-string limit raises
-    ``ValueError``."""
-    sign, coef, n, d, ni, i, p, q, im_sign, r, s, x, xe, y, ye, z, ze = groups
-    if coef is None:
-        if not (x or y or z):
-            return None
-        c = (1, 0, 1)
-    elif n is not None:
-        n, d = int(n), int(d) if d else 1
-        if not d:
-            return None
-        c = (0, n, d) if ni else (n, 0, d)
-    elif i is not None:
-        c = (0, 1, 1)
-    else:
-        p, q = int(p), int(q) if q else 1
-        r, s = int(r) if r else 1, int(s) if s else 1
-        if not q or not s:
-            return None
-        if im_sign == "-":
-            r = -r
-        c = (p * s, r * q, q * s)
-    a, b, d = c
-    if sign == "-":
-        a, b = -a, -b
-    mono = (
-        (int(xe) if xe else 1) if x else 0,
-        (int(ye) if ye else 1) if y else 0,
-        (int(ze) if ze else 1) if z else 0,
-    )
-    if max(mono) > MAX_EXPONENT:
-        return None
-    return mono, from_ints(a, b, d)
-
-
 def _read_printed(src: str, trunc: int):
     """The three term dicts of a field in the printed form, equal to the
     descent's, insertion order included; None at the first character that
@@ -163,34 +125,48 @@ def _read_printed(src: str, trunc: int):
     m = _OPEN.match(src)
     if m is None:
         return None
-    pos = m.end()
     comps = []
-    for close in ",,]":
-        acc = {}
-        lead = True
-        while True:
-            m = _TERM.match(src, pos)
-            # the first term of a component takes no '+', every later one a sign
-            if m[1] == ("+" if lead else ""):
+    acc = {}
+    lead = True
+    close = ""
+    # an exponent up to cap is at most trunc and at most MAX_EXPONENT
+    cap = min(trunc, MAX_EXPONENT)
+    terms = _PRINTED.findall(src, m.end())
+    try:
+        for sign, n, d, ni, i, p, q, im_sign, r, s, x, xe, y, ye, z, ze, comma, close, rest in terms:
+            # the first term of a component takes no '+'; a later one starts
+            # at the sign the match before it looked ahead to
+            if rest or lead and sign == "+":
                 return None
-            try:
-                term = _printed_term(m.groups())
-            except ValueError:
+            if n:
+                a, b, d = (0, int(n), int(d or 1)) if ni else (int(n), 0, int(d or 1))
+            elif p:
+                q, r, s = int(q or 1), int(r or 1), int(s or 1)
+                a, b, d = int(p) * s, (-r if im_sign == "-" else r) * q, q * s
+            else:
+                a, b, d = (0, 1, 1) if i else (1, 0, 1)
+            if not d:
                 return None
-            if term is None:
+            mono = (int(xe or 1) if x else 0, int(ye or 1) if y else 0, int(ze or 1) if z else 0)
+            degree = mono[0] + mono[1] + mono[2]
+            if degree > cap and max(mono) > MAX_EXPONENT:
                 return None
-            mono, c = term
-            if c and sum(mono) <= trunc:
-                _add_term(acc, mono, c)
-            pos = m.end()
-            lead = False
-            if src.startswith(close, pos):
-                break
-            if not src.startswith(("+", "-"), pos):
-                return None
-        comps.append(acc)
-        pos += 1
-    return comps if _END.match(src, pos) else None
+            if degree <= trunc and (a or b):
+                c = from_ints(-a, -b, d) if sign == "-" else from_ints(a, b, d)
+                if mono in acc:
+                    _add_term(acc, mono, c)
+                else:
+                    acc[mono] = c
+            if comma or close:
+                comps.append(acc)
+                acc = {}
+                lead = True
+            else:
+                lead = False
+    except ValueError:  # a numeral past Python's int-string limit
+        return None
+    # close is the last match's: the input ends in the third component's ']'
+    return comps if close and len(comps) == 3 else None
 
 
 def _field(comps: list, trunc: int) -> VectorField:

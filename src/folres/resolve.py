@@ -224,9 +224,10 @@ def resolve_along(
     the solver's rows of rep along it as its first image, so it composes
     nothing; a given `phi` is composed with rep.  Either way FolresError is
     raised when the invariance residual of that image does not vanish
-    through its ledger.  Every later step carries the image, residual
-    included, through the blow-up and the move with
-    `separatrix._transport_image`, so it is never composed again.  The
+    through its ledger.  A solver error names rep's degrees and ledger, and
+    with k >= 1 it says that the field was divided by z^k.  Every later step
+    carries the image, residual included, through the blow-up and the move
+    with `separatrix._transport_image`, so it is never composed again.  The
     blow-up has factored the divisor out of its field, and the move fixes
     z, so no later step factors z^k.  Each step reads the multiplicity from
     its image and hands image, factoring and curve to
@@ -240,9 +241,14 @@ def resolve_along(
     current = field
     chart = point_chart("z")
     factored = factor_divisor(field, "z")
-    rep = factored[1]
+    k, rep = factored
     if phi is None:
-        curve = solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        try:
+            curve = solve_graph_separatrix(rep, max(rep.trunc - 1, 1))
+        except FolresError as exc:
+            if k:
+                exc.args = (f"{exc} of the field divided by {'z' if k == 1 else f'z^{k}'}",)
+            raise
         image = _image_of(curve, curve._image)
     else:
         curve = phi

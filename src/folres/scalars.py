@@ -226,26 +226,35 @@ def _ratio_str(n: int, d: int) -> str:
         g = gcd(n, d)
         n //= g
         d //= g
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:  # past Python's int-string limit
-        raise FolresError(f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits") from None
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
+def complex_str(a: int, b: int, d: int) -> str:
+    """The text of a canonical triple with both parts nonzero: each part is
+    reduced by its own ``gcd``.  A ``ValueError`` past Python's int-string
+    limit."""
+    imag = "i" if b == d or b == -d else f"{_ratio_str(abs(b), d)}*i"
+    return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{imag}"
+
+
+def unprintable() -> FolresError:
+    """The error of an int past Python's int-string limit."""
+    return FolresError(f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits")
 
 
 def format_scalar(s: GaussianRational) -> str:
-    """Canonical printing ``a/b+c/d*i`` from the triple, one ``gcd`` per
-    part; parse-print-parse is idempotent.  Past Python's int-string limit,
-    a ``FolresError``."""
+    """Canonical printing ``a/b+c/d*i`` from the triple; parse-print-parse is
+    idempotent.  A real or purely imaginary triple's one nonzero part is in
+    lowest terms, so only a complex one takes a ``gcd``, one per part.  Past
+    Python's int-string limit, a ``FolresError``."""
     a, b, d = s._a, s._b, s._d
-    if not b:
-        return _ratio_str(a, d)
-    if b == d:
-        imag = "i"
-    elif b == -d:
-        imag = "-i"
-    else:
-        imag = f"{_ratio_str(b, d)}*i"
-    if not a:
-        return imag
-    sign = "+" if b > 0 else "-"
-    return f"{_ratio_str(a, d)}{sign}{imag.lstrip('-')}"
+    try:
+        if a and b:
+            return complex_str(a, b, d)
+        if not b:
+            return f"{a}" if d == 1 else f"{a}/{d}"
+        if d != 1:
+            return f"{b}/{d}*i"
+        return "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
+    except ValueError:
+        raise unprintable() from None

@@ -60,7 +60,7 @@ from .errors import (
     NotAUnit,
     NotDivisible,
 )
-from .scalars import GaussianRational, ZERO, ONE, format_scalar
+from .scalars import GaussianRational, ZERO, ONE, complex_str, unprintable
 
 INFINITE = math.inf
 
@@ -628,41 +628,49 @@ def _mono_str(m) -> str:
 
 
 def _graded_lex_key(m):
-    return (sum(m), (-m[0], -m[1], -m[2]))
+    return (m[0] + m[1] + m[2], -m[0], -m[1])
 
 
 def format_mseries(s: MSeries) -> str:
     """Canonical graded-lex printing, ascending degree, x before y before z.
 
-    Each coefficient is printed once and classified by its text: 1 and -1
-    leave the bare monomial, a real or purely imaginary one (no sign after its
-    first character) multiplies it as printed, and any other is parenthesised.
-    Monomial strings come from ``_mono_str``, which builds the text of each
-    exponent triple once and keeps it in a cache of at most
-    ``_MONO_TEXT_SIZE`` triples.
+    Each term is built from its coefficient's triple ``(a, b, d)``.  A real
+    or purely imaginary one has its one nonzero part in lowest terms: its sign
+    goes before the term, its magnitude prints with no ``gcd``, and 1 leaves
+    the bare monomial (or ``i``).  A complex one (``a`` and ``b`` nonzero) is
+    parenthesised, except as the constant term.  ``_mono_str`` keeps the text
+    of at most ``_MONO_TEXT_SIZE`` exponent triples.  Past Python's
+    int-string limit, a ``FolresError``.
     """
-    if not s.terms:
+    terms = s.terms
+    if not terms:
         return "0"
     parts = []
-    for m in sorted(s.terms, key=_graded_lex_key):
-        cs = format_scalar(s.terms[m])
-        if m == (0, 0, 0):
-            text = cs
-        elif cs == "1":
-            text = _mono_str(m)
-        elif cs == "-1":
-            text = f"-{_mono_str(m)}"
-        elif "+" in cs or "-" in cs[1:]:
-            text = f"({cs})*{_mono_str(m)}"
-        else:
-            text = f"{cs}*{_mono_str(m)}"
-        if not parts:
-            parts.append(text)
-        elif text[0] == "-":
-            parts.append(f"- {text[1:]}")
-        else:
-            parts.append(f"+ {text}")
-    return " ".join(parts)
+    try:
+        for m in sorted(terms, key=_graded_lex_key):
+            c = terms[m]
+            a, b, d = c._a, c._b, c._d
+            if a and b:
+                coef = complex_str(a, b, d)
+                if m != (0, 0, 0):
+                    sign, coef = " + ", f"({coef})"
+                else:
+                    sign, coef = (" - ", coef[1:]) if a < 0 else (" + ", coef)
+            else:
+                n = a or b
+                sign, n = (" - ", -n) if n < 0 else (" + ", n)
+                coef = ("" if n == 1 else f"{n}") if d == 1 else f"{n}/{d}"
+                if b:
+                    coef = f"{coef}*i" if coef else "i"
+            if m == (0, 0, 0):
+                parts.append(f"{sign}{coef or '1'}")
+            else:
+                parts.append(f"{sign}{coef}*{_mono_str(m)}" if coef else f"{sign}{_mono_str(m)}")
+    except ValueError:
+        raise unprintable() from None
+    # the first term drops its ' + ', and the space after its '-'
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 # ---------------------------------------------------------------------------

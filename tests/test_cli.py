@@ -620,6 +620,21 @@ def test_unprintable_coefficient_exit_code(capsys):
     assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["[17^4096*i, y, z]", "[17^4096 + i, y, z]", "[x/17^4096, y, z]", "[i*x/17^4096, y, z]"],
+    ids=["imaginary", "complex", "denominator", "imaginary-denominator"],
+)
+def test_unprintable_coefficient_of_every_shape(field, capsys):
+    # the printer's every scalar shape goes to text through the same guard
+    code, out = run_cli(["classify", field], capsys)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "FolresError",
+        "message": f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits",
+    }
+
+
 def test_power_too_large_exit_code(capsys):
     # the base's 16.8-Mbit coefficient to the 4096th would be 68.7 Gbit
     code, out = run_cli(["classify", "[((2^4096)^4096)^4096, y, z]"], capsys)
@@ -674,11 +689,13 @@ def test_resolve_dicritical_field_exit_code(capsys):
     "argv, ledger",
     [
         # the ledger cuts the z^3 of X_lambda, so H reads 0 on the z-axis
-        (["resolve", "[y - z, x*z, z^3]", "--trunc", "2"], 2),
+        (["resolve", "[y - z, x*z, z^3]", "--trunc", "2"], "2"),
         # z^-1 X = [1, 0, 0] at ledger 23 has no third component at all
-        (["resolve", "[z, 0, 0]"], 23),
+        (["resolve", "[z, 0, 0]"], "23 of the field divided by z"),
+        # z^-2 X = [x, y, 1] at ledger 22: the solver reads the divided field
+        (["resolve", "[x*z^2, y*z^2, z^2]"], "22 of the field divided by z^2"),
     ],
-    ids=["xlambda-cut-by-ledger", "zero-third-component"],
+    ids=["xlambda-cut-by-ledger", "zero-third-component", "z-squared-field"],
 )
 def test_resolve_names_the_ledger_without_a_z_axis_term(argv, ledger, capsys):
     code, out = run_cli(argv, capsys)

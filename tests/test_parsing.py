@@ -2,17 +2,20 @@
 digits and nesting depth, and properties of parse and print."""
 
 import json
+import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folres import MSeries, VectorField
+from folres import MSeries, VectorField, parsing
 from folres.cli import main
 from folres.errors import ParseError
 from folres.parsing import _Parser, _read_printed, format_field, parse_field, parse_series
 from folres.scalars import GaussianRational, format_scalar
+from folres.series import format_mseries
 
 from conftest import gr
 
@@ -186,6 +189,115 @@ def _reference_format(re: Fraction, im: Fraction) -> str:
 @given(st.fractions(), st.fractions())
 def test_format_scalar_matches_a_fraction_printer(re, im):
     assert format_scalar(GaussianRational(re, im)) == _reference_format(re, im)
+
+
+def _reference_mono(m: tuple) -> str:
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", m) if e]
+    return "*".join(factors)
+
+
+def _reference_format_mseries(terms: dict) -> str:
+    """A graded-lex printer from the coefficients' ``Fraction`` parts."""
+    if not terms:
+        return "0"
+    parts = []
+    for m in sorted(terms, key=lambda m: (sum(m), [-e for e in m])):
+        real, imag = terms[m].re, terms[m].im
+        text = _reference_format(real, imag)
+        if m != (0, 0, 0):
+            if text == "1":
+                text = _reference_mono(m)
+            elif text == "-1":
+                text = f"-{_reference_mono(m)}"
+            elif real and imag:
+                text = f"({text})*{_reference_mono(m)}"
+            else:
+                text = f"{text}*{_reference_mono(m)}"
+        if parts:
+            text = f"- {text[1:]}" if text.startswith("-") else f"+ {text}"
+        parts.append(text)
+    return " ".join(parts)
+
+
+_units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]).map(lambda p: GaussianRational(*p))
+_negative_reals = st.fractions(max_value=-1, max_denominator=50).map(GaussianRational)
+_complex = st.tuples(_fractions, _fractions).filter(all).map(lambda p: GaussianRational(*p))
+_coefficients = _units | _negative_reals | _complex | _scalars
+
+
+@st.composite
+def _printed_series(draw):
+    terms = draw(st.dictionaries(_monos, _coefficients, max_size=12))
+    if draw(st.booleans()):
+        terms[(0, 0, 0)] = draw(_coefficients)
+    return MSeries(terms, 18)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printed_series())
+def test_format_mseries_matches_a_fraction_printer(s):
+    assert format_mseries(s) == _reference_format_mseries(s.terms)
+
+
+def test_format_mseries_prints_every_coefficient_shape():
+    terms = {
+        (0, 0, 0): gr("-1/2", 3), (1, 0, 0): gr(1), (0, 1, 0): gr(-1), (0, 0, 1): gr(0, 1),
+        (2, 0, 0): gr(0, -1), (1, 1, 0): gr("-3/4"), (1, 0, 1): gr(2, "-5/6"), (0, 2, 0): gr(0, "7/2"),
+    }
+    s = MSeries(terms, 4)
+    assert format_mseries(s) == (
+        "-1/2+3*i + x - y + i*z - i*x^2 - 3/4*x*y + (2-5/6*i)*x*z + 7/2*i*y^2"
+    )
+    assert format_mseries(s) == _reference_format_mseries(terms)
+
+
+# every way of writing the whitespace of a printed field: none, doubled, and
+# tabs or newlines around the term signs, the commas and the brackets
+_around_signs = st.sampled_from(["{}", " {} ", "  {}  ", "\t{}\n", "\n{} ", " {}\t"])
+_around_commas = st.sampled_from([",", ", ", ",  ", " , ", "\n,\t", "\t,\n"])
+_around_open = st.sampled_from(["[", "[  ", "  [", "\t[\n", "\n["])
+_around_close = st.sampled_from(["]", "  ]", "]  ", "\t]\n", "\n]"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fields(), _around_signs, _around_commas, _around_open, _around_close)
+def test_whitespace_variants_are_read_as_printed(field, signs, commas, open_, close):
+    text = format_field(field)
+    variant = re.sub(r" ([-+]) ", lambda m: signs.format(m[1]), text[1:-1]).replace(", ", commas)
+    variant = f"{open_}{variant}{close}"
+    for trunc in {0, field.trunc, field.trunc + 2}:
+        fast = _read_printed(variant, trunc)
+        assert fast is not None, variant
+        assert [list(c.items()) for c in fast] == _descent_terms(variant, trunc)
+
+
+@pytest.mark.parametrize("text", ["[x+y, y, z]", "[ x , y , z ]", "[x\t+\ny, y, z]"])
+def test_whitespace_variants_read_as_the_descent(text):
+    fast = _read_printed(text, 4)
+    assert fast is not None
+    assert [list(c.items()) for c in fast] == _descent_terms(text, 4)
+
+
+def test_dense_printed_fields_never_reach_the_descent(monkeypatch):
+    # 50 fields of 60 terms per component through degree 12, as chart-batch
+    # reads them: every one is read by the term pattern alone
+    rng = random.Random(12)
+    built = []
+    monkeypatch.setattr(parsing, "_Parser", lambda *a: built.append(a) or _Parser(*a))
+    for _ in range(50):
+        comps = []
+        for _ in range(3):
+            terms = {}
+            while len(terms) < 60:
+                d = rng.randint(1, 12)
+                i = rng.randint(0, d)
+                j = rng.randint(0, d - i)
+                re_part = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                terms[(i, j, d - i - j)] = GaussianRational(re_part, rng.choice((0, 0, rng.randint(-5, 5))))
+            comps.append(MSeries(terms, 48))
+        field = VectorField(*comps)
+        assert parse_field(format_field(field), 48).eq_trusted(field)
+    assert built == []
 
 
 _grammar_tokens = st.sampled_from(
