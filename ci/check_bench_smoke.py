@@ -10,7 +10,7 @@ the trace0 output_digest of workload W in the newest BENCH_*.json at the
 root of the repository, so a change of any workload output fails; a change
 that alters outputs on purpose records the new digests in its own
 BENCH_*.json.  Exits nonzero with a message naming the workload on any
-mismatch.
+mismatch, and when the last line is no JSON result or there is no line.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ def newest_results() -> Path:
 
 
 def check(lines: list, workload: str, seed: str, recorded: Path) -> str | None:
-    """The reason the run fails, or None."""
-    result = json.loads(lines[-1])
+    """The reason the run fails, or None.  A run that printed no result line
+    (an aborted run prints its reason on standard error only) fails."""
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return f"{workload} at seed {seed}: no result line"
     if result["correct"] is not True or result["failed"] != 0:
         return f"{workload} at seed {seed}: outputs not correct"
     if seed != "1":

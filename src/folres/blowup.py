@@ -25,7 +25,7 @@ from .errors import (
     NotInNormalForm,
     RegularPoint,
 )
-from .series import VARS, MSeries, var_index
+from .series import VARS, MSeries, _mono_str, var_index
 from .vfield import (
     REGULAR,
     VectorField,
@@ -136,16 +136,38 @@ def _pullback(field: VectorField, chart: ChartMap) -> BlowupResult:
     """Chain-rule pullback in a chart sending the divisor d to d^w and each v
     in ``chart.rescaled`` to v * d: every component is composed with the
     chart, the divisor one becomes F_d / (w d^(w-1)), and each rescaled one
-    (F_v - v F'_d) / d with F'_d that divisor component."""
-    t = field.trunc
+    (F_v - v F'_d) / d with F'_d that divisor component, built in one walk
+    of F_v and F'_d in the term order of F_v - v F'_d, which NotDivisible's
+    monomial follows."""
     di = var_index(chart.divisor_var)
     w = chart.substitution[di][di]
     out = [c.substitute_monomials(chart.substitution) for c in field.components]
     if w > 1:
         out[di] = out[di].divide_by_variable(di, w - 1).scale(Fraction(1, w))
+    fd = out[di]
     for vi in chart.rescaled:
-        scaled = MSeries.variable(vi, t) * out[di]
-        out[vi] = (out[vi] - scaled).divide_by_variable(di)
+        fv, t = out[vi], min(out[vi].trunc, fd.trunc)
+        # the exponent offsets of F_v / d and of v F'_d / d
+        ov = [-(i == di) for i in range(3)]
+        od = [o + (i == vi) for i, o in enumerate(ov)]
+        diff = {}
+        for (i, j, k), c in fv.terms.items():
+            if i + j + k <= t:
+                diff[(i + ov[0], j + ov[1], k + ov[2])] = c
+        for (i, j, k), c in fd.terms.items():
+            if i + j + k < t:
+                m = (i + od[0], j + od[1], k + od[2])
+                cur = diff.get(m)
+                diff[m] = -c if cur is None else cur - c
+        terms = {}
+        for m, c in diff.items():
+            if c:
+                if m[di] < 0:
+                    raise NotDivisible(VARS[di], _mono_str(tuple(e - o for e, o in zip(m, ov))))
+                terms[m] = c
+        if t < 1:
+            raise NotDivisible(VARS[di], "ledger exhausted")
+        out[vi] = MSeries._clean(terms, t - 1)
     return _finish(chart, VectorField(*out))
 
 

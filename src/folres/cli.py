@@ -194,7 +194,7 @@ def cmd_resolve(args) -> dict:
         verdict = rs.semicomplete_obstruction(trace.report)
         holonomy = None
         if verdict == rs.INCONCLUSIVE:
-            params = rs.degenerate_family_parameters(trace.final_field)
+            params = rs.degenerate_family_parameters(trace.report.parts)
             if params is not None:
                 alpha, beta = params
                 hol = rs.holonomy_sancho_sanz(alpha, beta)

@@ -19,6 +19,7 @@ criterion is available.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from .series import MSeries, USeries
 from .vfield import (
     ELEMENTARY,
     REGULAR,
+    NormalFormParts,
     SingularityClass,
     VectorField,
     classify,
@@ -68,11 +70,13 @@ class NoNormalFormMatch(FolresError):
 
 @dataclass(frozen=True)
 class PersistentReport:
+    """A match and its certified prefix; `parts`, out of equality and repr."""
     n: int
     lam: GaussianRational
     k: int
     separatrix_prefix: FormalCurve
     tangency: int
+    parts: NormalFormParts | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def detect_persistent_normal_form(
@@ -129,7 +133,7 @@ def detect_persistent_normal_form(
     if tan < 2:
         raise NoNormalFormMatch("solved separatrix is not tangent to the z-axis")
     return PersistentReport(
-        n=parts.n, lam=parts.lam, k=parts.k, separatrix_prefix=prefix, tangency=tan
+        n=parts.n, lam=parts.lam, k=parts.k, separatrix_prefix=prefix, tangency=tan, parts=parts
     )
 
 
@@ -146,15 +150,14 @@ def semicomplete_obstruction(report: PersistentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def degenerate_family_parameters(field: VectorField):
+def degenerate_family_parameters(parts: NormalFormParts | None):
     """Recognize (y - b xz) d/dx + (xz - a yz) d/dy + z^2 d/dz exactly.
 
-    Returns (alpha, beta) as Fractions when the foliation representative is
-    this family with real rational parameters, else None.  This is the one
-    shape for which an exact holonomy criterion settles the inconclusive
-    n = 2, k = 0 case.
+    Reads the parts a PersistentReport keeps and returns (alpha, beta) as
+    Fractions when the foliation representative is this family with real
+    rational parameters, else None.  This is the one shape for which an
+    exact holonomy criterion settles the inconclusive n = 2, k = 0 case.
     """
-    parts, _ = nilpotent_normal_form_full(field)
     if parts is None or parts.n != 2 or parts.k != 0:
         return None
     if not parts.unit.eq_trusted(MSeries.constant(1, parts.unit.trunc)):

@@ -41,9 +41,12 @@ rows and the composed coefficients on demand, memoized with the indices of
 their nonzero entries; once (x_d, y_d) is set to a nonzero pair it is
 reopened at d, which drops only the entries that x_d and y_d reach, and a
 zero pair reopens nothing, as every entry was computed with it; the
-verification reads the same composer.  Every product walks the smaller of
-its two supports.  This is the online order of relaxed multiplication (van
-der Hoeven, "Relax, but don't be too lazy", J. Symb. Comp. 2002).  The
+verification reads the same composer.  With v the least index of a
+nonzero entry of x or y, x^i y^j is zero below (i + j) v, so its row is
+filled and read from there only: along the z-axis no product row is
+filled.  Every product walks the smaller of its two supports.  This is the
+online order of relaxed multiplication (van der Hoeven, "Relax, but don't
+be too lazy", J. Symb. Comp. 2002).  The
 solved curve carries the composer's final rows of F o phi, G o phi and
 H o phi, which `resolve_along`, solving its own separatrix, reads as its
 first image instead of composing the field again.
@@ -66,7 +69,7 @@ from .errors import (
     ZeroAlongCurve,
 )
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, USeries, compose_curve, mul_terms, substitute_terms, var_index
+from .series import INFINITE, MSeries, USeries, compose_curve, convolve, mul_terms, substitute_terms, var_index
 from .vfield import VectorField
 
 
@@ -203,13 +206,14 @@ def _minus_product(u: USeries, a: USeries, b: USeries) -> USeries:
     """u - a b, with the product known through min(la + vb, lb + va), l the
     ledgers and v the valuations: the unknown tail of each factor meets the
     other's lowest term no earlier.  A factor zero at its precision counts
-    valuation ledger + 1.  The product walks the nonzero supports of both
-    factors (`mul_terms`), and only its nonzero entries are subtracted."""
+    valuation ledger + 1.  The product is `convolve` of the coefficient
+    tuples, and only its nonzero entries are subtracted."""
     va, vb = (min(s.valuation(), s.trunc + 1) for s in (a, b))
     t = min(u.trunc, a.trunc + vb, b.trunc + va)
     out = list(u.coeffs[: t + 1])
-    for (_, _, n), c in mul_terms(_z_terms(a), _z_terms(b), t).items():
-        out[n] = out[n] - c
+    for n, c in enumerate(convolve(a.coeffs, b.coeffs, t)):
+        if c is not ZERO:
+            out[n] = out[n] - c
     return USeries._clean(out, t)
 
 
@@ -225,15 +229,17 @@ def _pivot(vals) -> int:
 
 def _residual(images, derivs) -> ResidualReport:
     """Both minors phi_p' (X_j o phi) - phi_j' (X_p o phi) through the pivot p
-    of `_multiplicity`, so no component of X o phi goes unchecked."""
+    of `_multiplicity`, so no component of X o phi goes unchecked; the two
+    products of each minor are compared up to their first difference."""
     p = _pivot([d.valuation() for d in derivs])
-    r1, r2 = (derivs[p] * images[j] - derivs[j] * images[p] for j in range(3) if j != p)
-    ledger = min(r1.trunc, r2.trunc)
+    ledger = min(s.trunc for s in (*images, *derivs))
     order = ledger
-    for m in range(ledger + 1):
-        if r1.coeffs[m] or r2.coeffs[m]:
-            order = m - 1
-            break
+    for j in range(3):
+        if j != p:
+            left = convolve(derivs[p].coeffs, images[j].coeffs, ledger)
+            right = convolve(derivs[j].coeffs, images[p].coeffs, ledger)
+            if left != right:
+                order = min(order, next(m for m, c in enumerate(left) if c != right[m]) - 1)
     return ResidualReport(order=order, ledger=ledger)
 
 
@@ -309,7 +315,10 @@ class _Composer:
     appends to it and ``reopen`` deletes from it in place.  A coefficient
     equal to ONE is added without a product.  Each composed series S o phi
     is kept the same way, a row filled in order with its nz list, in
-    ``memo`` under its tag with its lag and its groups.
+    ``memo`` under its tag with its lag and its groups.  ``v`` is the least
+    index of a nonzero entry of a or b (cap + 2 while both are zero), and
+    a^i b^j, i + j >= 1, is zero below (i + j) v: ``_row`` pads its row
+    with ZERO that far, and a group reads its row from there only.
 
     After the solver writes a nonzero pair a[d], b[d] it calls
     ``reopen(d)``; after a zero pair it does not, as every entry was
@@ -319,14 +328,15 @@ class _Composer:
     and the composed row of S at d + lag, lag the least i + j + k - 1 over
     the terms x^i y^j z^k of S with i + j >= 1; the entries below the cut
     are final.  A series with no such term gets lag = cap, and its row is
-    never cut.  ``image`` reads a composed row as a series once the solve
-    is done.
+    never cut; ``reopen`` lowers v to the new least index.  ``image`` reads
+    a composed row as a series once the solve is done.
     """
 
     def __init__(self, a, nz_a, b, nz_b, cap: int):
         # rows[i][j] is the pair (row, nz) of a^i b^j
         self.rows = [[([ONE] + [ZERO] * cap, [0]), (b, nz_b)], [(a, nz_a)]]
         self.cap = cap
+        self.v = cap + 2
         self.memo = {}  # tag -> (row, nz, lag, [(i, j, row of a^i b^j, [(k, c or None)])])
 
     def _row(self, i: int, j: int, s: int):
@@ -342,14 +352,16 @@ class _Composer:
         a, b = rows[1][0], rows[0][1]
         prev = rows[0][0]
         chain = [r[0] for r in rows[1 : i + 1]] + rows[i][1 : j + 1]
-        for pair, base in zip(chain, [a] * i + [b] * j):
+        for n, (pair, base) in enumerate(zip(chain, [a] * i + [b] * j), 1):
             row, nz = pair
             if len(row) <= s:
-                (u, nu), v = prev, base[0]
+                # the n-th row of the chain is zero below n v
+                row.extend([ZERO] * (min(n * self.v, s + 1) - len(row)))
+                (u, nu), w = prev, base[0]
                 if len(base[1]) < len(nu):
-                    (u, nu), v = base, u
+                    (u, nu), w = base, u
                 for t in range(len(row), s + 1):
-                    c = _product_coeff(u, nu, v, t)
+                    c = _product_coeff(u, nu, w, t)
                     row.append(c)
                     if c is not ZERO:
                         nz.append(t)
@@ -377,16 +389,20 @@ class _Composer:
         start = len(row)
         if m < start:
             return row[m]
-        # each group's row is read up to m - (its least k); a group whose
-        # least k is above m reads none, as its first k breaks the walk
+        # each group's row is read from (i + j) v up to m - (its least k);
+        # a group that reaches no such entry reads none
+        v, reads = self.v, []
         for i, j, pr, ks in groups:
-            if len(pr) <= m - ks[0][0]:
-                self._row(i, j, m - ks[0][0])
+            low, top = (i + j) * v, m - ks[0][0]
+            if low <= top and len(pr) <= top:
+                self._row(i, j, top)
+            reads.append((low, pr, ks))
         for t in range(start, m + 1):
             acc = ZERO
-            for _, _, pr, ks in groups:
+            for low, pr, ks in reads:
+                top = t - low
                 for k, c in ks:
-                    if k > t:
+                    if k > top:
                         break
                     w = pr[t - k]
                     if w is not ZERO:
@@ -403,6 +419,8 @@ class _Composer:
 
     def reopen(self, d: int) -> None:
         """Forget every entry that a[d] and b[d] reach, after they were set."""
+        nz_a, nz_b = self.rows[1][0][1], self.rows[0][1][1]
+        self.v = min(nz_a[:1] + nz_b[:1] + [self.v])
         for i, rows in enumerate(self.rows):
             # a[d] and b[d] reach a^i b^j from entry d + i + j - 1; the unit,
             # a and b (cut <= d) are kept whole

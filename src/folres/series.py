@@ -303,15 +303,19 @@ class USeries:
         """Exact series division self/other; requires val(self) >= val(other).
 
         Long division after shifting both down by val(other): one scalar
-        inverse of the divisor's leading coefficient, none when it is 1.
+        inverse of the divisor's leading coefficient, none when it is 1; a
+        one-term divisor c T^v is a shift plus a scaling pass unless c = 1.
         """
         v = other.valuation()
         if v == INFINITE:
             raise ZeroDivisionError("division by a series that is zero at precision")
-        num, den = self.shift_down(int(v)), other.shift_down(int(v))
-        t = min(num.trunc, den.trunc)
-        inv0 = None if den.coeffs[0] == ONE else ONE / den.coeffs[0]
-        tail = [(j, c) for j, c in enumerate(den.coeffs[1 : t + 1], 1) if c is not ZERO]
+        num = self.shift_down(v)
+        t = min(num.trunc, other.trunc - v)
+        inv0 = None if other.coeffs[v] == ONE else ONE / other.coeffs[v]
+        tail = [(j, c) for j, c in enumerate(other.coeffs[v + 1 : v + t + 1], 1) if c is not ZERO]
+        if not tail:
+            q = num.coeffs[: t + 1]
+            return USeries._clean(q if inv0 is None else [c * inv0 for c in q], t)
         q = []
         for k in range(t + 1):
             acc = num.coeffs[k]

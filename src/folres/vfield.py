@@ -308,17 +308,18 @@ def nilpotent_normal_form_full(field: VectorField, *, _factored=None):
         except NotAUnit:
             return None, "third component is not z^n times a unit"
         comps = [c.retrunc(unit_inv.trunc) * unit_inv for c in rep.components]
-    t = min(c.trunc for c in comps)
-    delta = comps[0] - MSeries.variable("y", t)
-    if delta.variable_multiplicity("z") < 1 and not delta.is_zero():
+    # every component has ledger t; f = (comps[0] - y) / z, so the y
+    # coefficient of comps[0] must be 1 once t >= 1, and g = comps[1] / z
+    t = comps[0].trunc
+    first = comps[0].terms
+    f = None if t and first.get((0, 1, 0), ZERO) != ONE else _over_z(first, t, (0, 1, 0))
+    if f is None:
         return None, "first component is not y + z*(series)"
-    f = delta.divide_by_variable("z") if not delta.is_zero() else MSeries.zero(max(t - 1, 0))
     if f.constant_term():
         return None, "f has a nonzero constant term"
-    g_num = comps[1]
-    if g_num.variable_multiplicity("z") < 1 and not g_num.is_zero():
+    g = _over_z(comps[1].terms, t)
+    if g is None:
         return None, "second component is not z*(series)"
-    g = g_num.divide_by_variable("z") if not g_num.is_zero() else MSeries.zero(max(t - 1, 0))
     if g.constant_term():
         return None, "g has a nonzero constant term"
     lam = g.linear_coeff("x")
@@ -329,3 +330,17 @@ def nilpotent_normal_form_full(field: VectorField, *, _factored=None):
         NormalFormParts(k=k, n=n, lam=lam, f=f, g=g, unit=unit, representative=normalized),
         None,
     )
+
+
+def _over_z(terms: dict, t: int, skip=None) -> MSeries | None:
+    """The terms divided by z, ledger max(t - 1, 0), in one walk that stops
+    at the first term without z; None there.  The monomial `skip` is left
+    out, as the y term whose coefficient 1 the caller has matched."""
+    out = {}
+    for m, c in terms.items():
+        if not m[2]:
+            if m == skip:
+                continue
+            return None
+        out[(m[0], m[1], m[2] - 1)] = c
+    return MSeries._clean(out, max(t - 1, 0))

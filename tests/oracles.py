@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is written against plain dict/Fraction arithmetic with no
-imports from the package's series core, so it can disagree with the
-implementation under test.
+Everything here but the last section is written against plain
+dict/Fraction arithmetic with no imports from the package's series core, so
+it can disagree with the implementation under test.  The last section writes
+two transport kernels of ``separatrix`` in ``USeries`` arithmetic alone, dense
+products and differences, as references for their one-walk forms.
 """
 
 from __future__ import annotations
@@ -147,3 +149,27 @@ def least_squares_slope(xs, ys):
     sxx = sum(x * x for x in xs)
     sxy = sum(x * y for x, y in zip(xs, ys))
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+# -- transport kernels in plain USeries arithmetic ------------------------------
+
+
+def minus_product_reference(u, a, b):
+    """u - a b as dense USeries arithmetic through min(lu, la + vb, lb + va),
+    l the ledgers and v the valuations, a factor zero at its precision
+    counting valuation ledger + 1: each factor is padded with zeros to that
+    ledger, which the unknown tail of the other factor does not reach."""
+    from folres.series import USeries
+
+    va, vb = (next((k for k, c in enumerate(s.coeffs) if c), s.trunc + 1) for s in (a, b))
+    t = min(u.trunc, a.trunc + vb, b.trunc + va)
+    return u.retrunc(t) - USeries(a.coeffs, t) * USeries(b.coeffs, t)
+
+
+def residual_minors_reference(images, derivs):
+    """The two minors phi_p' I_j - phi_j' I_p, j != p, as USeries products
+    and differences, p the phi' component of least valuation, the last one
+    on a tie."""
+    vals = [next((k for k, c in enumerate(d.coeffs) if c), float("inf")) for d in derivs]
+    p = min(range(3), key=lambda i: (vals[i], -i))
+    return [derivs[p] * images[j] - derivs[j] * images[p] for j in range(3) if j != p]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from folres.blowup import (
+    _pullback,
     curve_blowup,
     curve_chart,
     point_blowup,
@@ -14,6 +15,7 @@ from folres.blowup import (
 )
 from folres.errors import (
     CenterNotInvariantOrNotSingular,
+    NotDivisible,
     NotInNormalForm,
     RegularPoint,
 )
@@ -428,3 +430,50 @@ def test_substitute_monomials_equals_the_plain_loop(monos):
             want = _substitute_monomials_reference(s, monos)
             assert (got.terms, got.trunc) == (want.terms, want.trunc)
             assert list(got.terms) == list(want.terms)
+
+
+def _pullback_reference(field: VectorField, chart):
+    """The pullback's components in MSeries arithmetic: each rescaled one is
+    (F_v - v F'_d) / d, a product, a difference and a division by d."""
+    di = VARS.index(chart.divisor_var)
+    w = chart.substitution[di][di]
+    out = [c.substitute_monomials(chart.substitution) for c in field.components]
+    if w > 1:
+        out[di] = out[di].divide_by_variable(di, w - 1).scale(Fraction(1, w))
+    for vi in chart.rescaled:
+        scaled = MSeries.variable(vi, field.trunc) * out[di]
+        out[vi] = (out[vi] - scaled).divide_by_variable(di)
+    return VectorField(*out).components
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [pytest.param(point_chart(d), id=f"point-{d}") for d in "xyz"]
+    + [
+        pytest.param(curve_chart(a, d), id=f"curve-{a}-{d}")
+        for a, d in itertools.permutations("xyz", 2)
+    ]
+    + [pytest.param(weight2_chart(), id="weight2")],
+)
+def test_pullback_equals_the_series_arithmetic(chart):
+    # any field, constant and off-center terms included: the same terms in
+    # the same order and the same ledger, or NotDivisible with the same
+    # message, naming the same monomial or the exhausted ledger
+    rng = random.Random(chart.describe())
+    raised = 0
+    for trunc in (0, 1, 2, 5, 8):
+        for _ in range(40):
+            X = VectorField(*(rand_mseries(rng, trunc, maxdeg=4, terms=6) for _ in range(3)))
+            try:
+                want = _pullback_reference(X, chart)
+            except NotDivisible as exc:
+                raised += 1
+                with pytest.raises(NotDivisible) as got:
+                    _pullback(X, chart)
+                assert str(got.value) == str(exc)
+                continue
+            got = _pullback(X, chart).raw.components
+            for g, c in zip(got, want):
+                assert (g.terms, g.trunc) == (c.terms, c.trunc)
+                assert list(g.terms) == list(c.terms)
+    assert raised, "no pullback was refused"

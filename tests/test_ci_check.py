@@ -3,6 +3,7 @@ benchmark smoke run (correct outputs, no failed operation, and at seed 1 the
 recorded output digest), and ci/check_tier1_report.py, which reads the
 Tier-1 JUnit report (no failure besides criterion 07)."""
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -46,6 +47,21 @@ def test_check_reads_correctness_and_the_seed_1_digest(lines, seed, reason, reco
         assert found is None
     else:
         assert reason in found and "verdict-sweep" in found
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        # an aborted bench/run.py prints its reason on standard error only
+        "",
+        "# note\n# meta {}\nTraceback (most recent call last):\n",
+    ],
+)
+def test_a_run_with_no_result_line_fails_with_a_message(stdin, monkeypatch, capsys, recorded):
+    monkeypatch.setattr(check_bench_smoke, "newest_results", lambda: recorded)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert check_bench_smoke.main(["driver-walk", "3"]) == 1
+    assert capsys.readouterr().err == "driver-walk at seed 3: no result line\n"
 
 
 def test_newest_results_orders_by_number():

@@ -326,11 +326,27 @@ class TestZflow:
 class TestDegenerateFamilyRecognition:
     def test_parameters_recovered(self):
         X = field_degenerate_family(Fraction(1, 2), 2)
-        assert degenerate_family_parameters(X) == (Fraction(1, 2), Fraction(2))
+        parts, _ = nilpotent_normal_form_full(X)
+        assert degenerate_family_parameters(parts) == (Fraction(1, 2), Fraction(2))
 
     def test_non_family_rejected(self):
         X0 = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 3): 1})
-        assert degenerate_family_parameters(X0) is None
+        parts, _ = nilpotent_normal_form_full(X0)
+        assert parts is not None and degenerate_family_parameters(parts) is None
+        assert degenerate_family_parameters(None) is None
+
+    def test_report_keeps_the_matched_parts(self):
+        # the holonomy branch reads the final step's match, not a second one
+        X = field_degenerate_family(Fraction(1, 2), 2)
+        trace = resolve_along(X, None, 2, stop_on_match=True)
+        parts = trace.report.parts
+        assert parts is not None and degenerate_family_parameters(parts) == (
+            Fraction(1, 2), Fraction(2)
+        )
+        again, _ = nilpotent_normal_form_full(trace.final_field)
+        assert (parts.k, parts.n, parts.lam) == (again.k, again.n, again.lam)
+        assert parts.f.eq_trusted(again.f) and parts.g.eq_trusted(again.g)
+        assert "parts" not in repr(trace.report)
 
 
 class TestNumericGuards:

@@ -47,7 +47,12 @@ from conftest import (
     useries,
     vf,
 )
-from oracles import degenerate_family_series, xlambda_series
+from oracles import (
+    degenerate_family_series,
+    minus_product_reference,
+    residual_minors_reference,
+    xlambda_series,
+)
 
 
 class TestInvarianceResidual:
@@ -244,6 +249,52 @@ _scalars = st.one_of(
 )
 
 
+_units = st.builds(gr, st.integers(-3, 3), st.integers(-2, 2)).filter(bool) | st.just(ONE)
+
+
+@st.composite
+def _transport_series(draw, max_trunc=8):
+    """A USeries of random ledger: zero, one term c T^k (c = 1 included), a
+    unit, or dense with zero entries."""
+    t = draw(st.integers(0, max_trunc))
+    shape = draw(st.sampled_from(["zero", "one term", "unit", "dense"]))
+    if shape == "zero":
+        coeffs = []
+    elif shape == "one term":
+        coeffs = [ZERO] * draw(st.integers(0, t)) + [draw(_units)]
+    elif shape == "unit":
+        coeffs = [draw(_units)] + draw(st.lists(_scalars, max_size=t))
+    else:
+        coeffs = draw(st.lists(_scalars, max_size=t + 1))
+    return USeries(coeffs, t)
+
+
+class TestTransportKernels:
+    """The one-walk kernels of the transport against their USeries
+    arithmetic references in ``oracles``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_transport_series(), _transport_series(), _transport_series())
+    def test_minus_product_equals_the_dense_difference(self, u, a, b):
+        assert sx._minus_product(u, a, b) == minus_product_reference(u, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_transport_series(), min_size=6, max_size=6), st.booleans())
+    def test_residual_equals_the_dense_minors(self, series, invariant):
+        images, derivs = series[:3], series[3:]
+        if invariant:
+            # X o phi = g phi' along a curve: both minors vanish through the ledger
+            g = series[0]
+            images = [g * d for d in derivs]
+        minors = residual_minors_reference(images, derivs)
+        ledger = min(r.trunc for r in minors)
+        first = [m for m in range(ledger + 1) if any(r.coeffs[m] for r in minors)]
+        order = first[0] - 1 if first else ledger
+        assert sx._residual(images, derivs) == sx.ResidualReport(order=order, ledger=ledger)
+        if invariant:
+            assert order == ledger
+
+
 class TestSparseSupports:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -271,7 +322,9 @@ class TestSparseSupports:
         # coefficient equals the dense composition.  The series group several
         # z^k under one x^i y^j with i >= 1, j >= 2, whose chain runs through
         # the row of a^i that their x^i z^k term reads, and carry a
-        # coefficient of exactly 1.
+        # coefficient of exactly 1.  a^i b^j is zero below (i + j) v, v the
+        # least index of a nonzero entry of a or b, so its row is filled
+        # once a read of x^i y^j z^k reaches that far.
         rng = random.Random(seed)
         cap = 10
         a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
@@ -279,6 +332,7 @@ class TestSparseSupports:
         comp = _Composer(a, nz_a, b, nz_b, cap)
         i, j = rng.randint(1, 2), rng.randint(2, 3)
         series = [_grouped_series(rng, cap, i, j) for _ in range(2)]
+        reached = False
         d = 1
         for _ in range(40):
             op = rng.random()
@@ -301,12 +355,61 @@ class TestSparseSupports:
                 )
                 expect = compose_curve(series[tag], curve).coeffs[m]
                 assert comp.coeff(series[tag], m, tag) == expect
+                v = min(nz_a[:1] + nz_b[:1], default=cap + 2)
+                least = min(k for e, f, k in series[tag].terms if (e, f) == (i, j))
+                reached = reached or m - least >= (i + j) * v
             for e, rows in enumerate(comp.rows):
                 for f, (row, nz) in enumerate(rows):
                     assert nz == [n for n, c in enumerate(row) if c]
                     product = MSeries.monomial(ONE, (e, f, 0), cap)
                     assert row[: cap + 1] == _dense_composition(product, a, b, cap)[: len(row)]
-        assert comp.rows[i][j][0], "no x^i y^j row was filled"
+        assert comp.rows[i][j][0] or not reached, "no x^i y^j row was filled"
+
+    @pytest.mark.parametrize("first", [None, 1, 4, 7])
+    def test_curves_whose_first_entry_comes_late_or_never(self, first, monkeypatch):
+        # the solver's protocol on a curve whose first nonzero entry is at
+        # `first` (None: the z-axis, every entry zero): each coefficient of
+        # every series equals the dense composition, every support follows
+        # its row, and no product entry below 2 first is computed, as every
+        # row of a^i b^j with i + j >= 2 is zero below (i + j) first; on the
+        # z-axis no such row is filled at all
+        computed = []
+
+        def product_coeff(u, nz, v, t):
+            computed.append(t)
+            return _product_coeff(u, nz, v, t)
+
+        monkeypatch.setattr(sx, "_product_coeff", product_coeff)
+        rng = random.Random(first)
+        cap = 10
+        a, b = [ZERO] * (cap + 2), [ZERO] * (cap + 2)
+        nz_a, nz_b = [], []
+        comp = _Composer(a, nz_a, b, nz_b, cap)
+        series = [_grouped_series(rng, cap, 1, 2), _grouped_series(rng, cap, 2, 3)]
+        for d in range(1, cap + 1):
+            if first is not None and d >= first:
+                for row, nz in ((a, nz_a), (b, nz_b)):
+                    row[d] = rand_scalar(rng) or ONE if d == first else rand_scalar(rng)
+                    if row[d]:
+                        nz.append(d)
+                comp.reopen(d)
+            curve = (USeries(a[: cap + 1], cap), USeries(b[: cap + 1], cap), USeries.identity(cap))
+            for tag, s in enumerate(series):
+                expect = compose_curve(s, curve).coeffs
+                assert [comp.coeff(s, m, tag) for m in range(cap + 1)] == list(expect)
+            for e, rows in enumerate(comp.rows):
+                for f, (row, nz) in enumerate(rows):
+                    assert nz == [n for n, c in enumerate(row) if c]
+                    product = MSeries.monomial(ONE, (e, f, 0), cap)
+                    assert row[: cap + 1] == _dense_composition(product, a, b, cap)[: len(row)]
+        if first is None:
+            assert computed == []
+            rows = enumerate(comp.rows)
+            filled = [(e, f) for e, row_e in rows for f, (row, _) in enumerate(row_e) if row]
+            assert filled == [(0, 0), (0, 1), (1, 0)]
+        else:
+            assert all(t >= 2 * first for t in computed)
+            assert computed or first > 1, "no product entry was computed"
 
 
     @settings(max_examples=60, deadline=None)

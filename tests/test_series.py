@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from folres.errors import (
     InsufficientSupport,
@@ -332,6 +332,32 @@ class TestUSeries:
         q = (num * den).divide(den)
         assert q.trunc == t - den.valuation()
         assert q.eq_trusted(num)
+
+    @given(
+        num=st.lists(_gauss, max_size=12),
+        lead=_gauss.filter(bool) | st.just(ONE),
+        v=st.integers(0, 4),
+        ledgers=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+        late=st.integers(1, 8),
+    )
+    def test_one_term_divisor_is_a_shift_and_a_scaling(self, num, lead, v, ledgers, late):
+        # c T^v, possibly with an entry above the quotient's ledger, which
+        # the division never reads; the quotient is num T^-v / c, and a
+        # nonzero entry of num below v is not divisible
+        tn, td = ledgers
+        td = max(td, v)
+        den = USeries([ZERO] * v + [lead] + [ZERO] * (late - 1) + [gr(5)], td)
+        s = USeries(num, tn)
+        t = min(tn, td) - v
+        assume(late > t)
+        if tn < v or any(s.coeffs[:v]):
+            with pytest.raises(NotDivisible):
+                s.divide(den)
+            return
+        want = USeries([c / lead for c in s.coeffs[v : v + t + 1]], t)
+        got = s.divide(den)
+        assert (got.coeffs, got.trunc) == (want.coeffs, want.trunc)
+        assert all(c is ZERO for c in got.coeffs if c == ZERO)
 
     def test_compose(self):
         f = MSeries({(2, 0, 0): 1}, 10)  # x^2, read along the curve as T^2

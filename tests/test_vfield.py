@@ -263,6 +263,31 @@ class TestNormalFormDecomposition:
         assert parts is None
         assert reason == "dg/dx vanishes at the origin (lambda = 0)"
 
+    # one minimal field per reason, in the order of the checks; each field
+    # passes every check before the one it fails
+    @pytest.mark.parametrize(
+        "fx, fy, fz, reason",
+        [
+            ({}, {}, {}, "field is zero at the trusted precision"),
+            ({(1, 0, 0): 1}, {}, {}, "foliation representative is elementary, not nilpotent-nonzero"),
+            ({(0, 1, 0): 1}, {(1, 0, 1): 1}, {}, "third component is not z^n with n >= 2 times a unit"),
+            ({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(1, 0, 1): 1}, "third component is not z^n with n >= 2 times a unit"),
+            ({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(1, 0, 2): 1}, "third component is not z^n times a unit"),
+            ({(0, 1, 0): 1, (2, 0, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 2): 1},
+             "first component is not y + z*(series)"),
+            # the y coefficient is not 1; there is no y term
+            ({(0, 1, 0): 2}, {(1, 0, 1): 1}, {(0, 0, 2): 1}, "first component is not y + z*(series)"),
+            ({(0, 0, 1): 1}, {(1, 0, 0): 1}, {(0, 0, 2): 1}, "first component is not y + z*(series)"),
+            ({(0, 1, 0): 1, (0, 0, 1): 1}, {(1, 0, 1): 1}, {(0, 0, 2): 1}, "f has a nonzero constant term"),
+            ({(0, 1, 0): 1}, {(1, 0, 1): 1, (2, 0, 0): 1}, {(0, 0, 2): 1},
+             "second component is not z*(series)"),
+            ({(0, 1, 0): 1}, {(0, 0, 1): 1, (1, 0, 1): 1}, {(0, 0, 2): 1}, "g has a nonzero constant term"),
+            ({(0, 1, 0): 1}, {(0, 1, 1): 1}, {(0, 0, 2): 1}, "dg/dx vanishes at the origin (lambda = 0)"),
+        ],
+    )
+    def test_every_reason_in_check_order(self, fx, fy, fz, reason):
+        assert nilpotent_normal_form_full(vf(fx, fy, fz)) == (None, reason)
+
 
 def _reference_parts(field: VectorField):
     """The normal-form parts of a field that matches, built with the unit's
