@@ -60,15 +60,7 @@ class ChartMap:
         )
 
     def describe(self) -> str:
-        pieces = []
-        for v, mono in zip(VARS, self.substitution):
-            image = "*".join(
-                f"{VARS[i]}" if e == 1 else f"{VARS[i]}^{e}"
-                for i, e in enumerate(mono)
-                if e
-            )
-            pieces.append(f"{v} -> {image or '0'}")
-        return ", ".join(pieces)
+        return ", ".join(f"{v} -> {_mono_str(m)}" for v, m in zip(VARS, self.substitution))
 
 
 def _chart(kind, di, weights, center_axis=None) -> ChartMap:

@@ -5,7 +5,7 @@ command emits one deterministic JSON document (compact by default,
 ``--pretty`` for indented output, ``--out FILE`` to write to a file).
 ``resolve`` only parses, loads the curve of --separatrix (none for solve)
 and formats: `resolve_along` factors the field and solves or checks the
-separatrix.
+separatrix, and `decide_verdict` decides the verdict.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation (including a
 negative --trunc or --max-steps, a --trunc above MAX_TRUNC = 1024, an
@@ -48,22 +48,19 @@ def _field_json(field: VectorField):
     return [format_mseries(c) for c in field.components]
 
 
-def _curve_json(curve: FormalCurve):
-    return {
-        "x_of_z": [str(c) for c in curve.phi1.coeffs],
-        "y_of_z": [str(c) for c in curve.phi2.coeffs],
-        "ledger": curve.ledger,
-        "tangency": curve.tangency_bound(),
-    }
-
-
 def _report_json(report: rs.PersistentReport, verdict: str):
+    prefix = report.separatrix_prefix
     return {
         "n": report.n,
         "lambda": str(report.lam),
         "k": report.k,
         "tangency": report.tangency,
-        "separatrix_prefix": _curve_json(report.separatrix_prefix),
+        "separatrix_prefix": {
+            "x_of_z": [str(c) for c in prefix.phi1.coeffs],
+            "y_of_z": [str(c) for c in prefix.phi2.coeffs],
+            "ledger": prefix.ledger,
+            "tangency": report.tangency,
+        },
         "verdict": verdict,
     }
 
@@ -83,7 +80,7 @@ def cmd_classify(args) -> dict:
         "class": cls.tag,
         "order": order,
         "linear_part": [[str(e) for e in row] for row in lin.m],
-        "invariant_triple": [str(c) for c in lin.invariant_triple()],
+        "invariant_triple": [str(c) for c in cls.char_poly_invariants],
     }
 
 
@@ -191,27 +188,12 @@ def cmd_resolve(args) -> dict:
         "verdict": None,
     }
     if trace.report is not None:
-        verdict = rs.semicomplete_obstruction(trace.report)
-        holonomy = None
-        if verdict == rs.INCONCLUSIVE:
-            params = rs.degenerate_family_parameters(trace.report.parts)
-            if params is not None:
-                alpha, beta = params
-                hol = rs.holonomy_sancho_sanz(alpha, beta)
-                verdict = (
-                    rs.SEMICOMPLETE_BY_HOLONOMY
-                    if hol["is_identity"]
-                    else rs.NOT_SEMICOMPLETE_BY_HOLONOMY
-                )
-                holonomy = {
-                    "alpha": str(alpha),
-                    "beta": str(beta),
-                    "is_identity": hol["is_identity"],
-                }
+        verdict, holonomy = rs.decide_verdict(trace.report)
         out["report"] = _report_json(trace.report, verdict)
-        if holonomy is not None:
-            out["holonomy"] = holonomy
         out["verdict"] = verdict
+        if holonomy is not None:
+            alpha, beta, is_identity = holonomy
+            out["holonomy"] = {"alpha": str(alpha), "beta": str(beta), "is_identity": is_identity}
     return out
 
 

@@ -26,10 +26,6 @@ class NotAUnit(FolresError):
     """Series inversion requested for a series vanishing at the origin."""
 
 
-class InsufficientSupport(FolresError):
-    """Too few nonzero coefficients for a ratio/slope estimate."""
-
-
 class AllZero(FolresError):
     """Vector field is zero at the trusted precision."""
 

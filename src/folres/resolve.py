@@ -13,7 +13,8 @@ shape z^k h [(y + zf) d/dx + zg d/dy + z^n d/dz] with dg/dx(0) != 0 plus a
 graph separatrix tangent to the z-axis; the obstruction rules are then a
 finite decision table: n >= 3 or k >= 1 rules semicompleteness out, n = 2
 and k = 0 is deferred to the holonomy test of the one family where an exact
-criterion is available.
+criterion is available.  `decide_verdict` applies both and is the one owner
+of the verdict.
 """
 
 from __future__ import annotations
@@ -143,6 +144,22 @@ def semicomplete_obstruction(report: PersistentReport) -> str:
     if report.n >= 3 or report.k >= 1:
         return NOT_SEMICOMPLETE
     return INCONCLUSIVE
+
+
+def decide_verdict(report: PersistentReport):
+    """(verdict, holonomy) of a match, the one place the verdict is decided.
+
+    The verdict is the (n, k) table's, with holonomy None; an inconclusive
+    match in the degenerate family takes the verdict of
+    `holonomy_sancho_sanz` instead, with holonomy (alpha, beta, is_identity).
+    """
+    verdict = semicomplete_obstruction(report)
+    params = degenerate_family_parameters(report.parts) if verdict == INCONCLUSIVE else None
+    if params is None:
+        return verdict, None
+    is_identity = holonomy_sancho_sanz(*params)["is_identity"]
+    verdict = SEMICOMPLETE_BY_HOLONOMY if is_identity else NOT_SEMICOMPLETE_BY_HOLONOMY
+    return verdict, (*params, is_identity)
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,12 @@ class FormalCurve:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Order and ledger of the residual; the pivot and the valuations of
+    phi' it was read with take no part in equality."""
     order: int
     ledger: int
+    pivot: int | None = dataclasses.field(default=None, compare=False, repr=False)
+    vals: list | None = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def full(self) -> bool:
@@ -161,9 +165,9 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
     the field before and after the step, and the residual is read from the
     transported images and curve'.
 
-    `moved` is transform_curve(phi, chart), psi below, and its third
-    component must be T; `curve` is what `straighten` returns for it.  The
-    chart's pullback of z^k_old rep, taken along psi, is
+    `moved` is transform_curve(phi, chart), psi below, whose third
+    component `straighten` has checked to be T; `curve` is what it
+    returns.  The chart's pullback of z^k_old rep, taken along psi, is
     T^k_old ((I1 - psi1 I3)/T, (I2 - psi2 I3)/T, I3).  The blow-up divides
     it by z^e and the step's factoring by z^k_new, so that triple, J, is
     divided by T^s with s = e - k_old + k_new; the driver passes s = e - k
@@ -178,12 +182,9 @@ def _transport_image(image, moved: FormalCurve, curve: FormalCurve, s: int, trun
     the ledger of rep', which is the ledger of the recomposed image; no
     ledger is raised.  After a blow-up with e >= 1 (a source of order two
     or more) the first two components can come out one degree short of
-    that, as compose_curve's min rule gives I no longer ledger.  Raises
-    NotGraph when the third component of `moved` is not T.
+    that, as compose_curve's min rule gives I no longer ledger.
     """
     (i1, i2, i3), _, _ = image
-    if not moved.graph_over_z:
-        raise NotGraph("the image is transported along curves with phi3 = T")
     j3 = _times_power(i3, -s)
     out = []
     for im, psi, new in zip((i1, i2), moved.components, curve.components):
@@ -228,10 +229,12 @@ def _pivot(vals) -> int:
 
 
 def _residual(images, derivs) -> ResidualReport:
-    """Both minors phi_p' (X_j o phi) - phi_j' (X_p o phi) through the pivot p
-    of `_multiplicity`, so no component of X o phi goes unchecked; the two
-    products of each minor are compared up to their first difference."""
-    p = _pivot([d.valuation() for d in derivs])
+    """Both minors phi_p' (X_j o phi) - phi_j' (X_p o phi) through the pivot
+    p, so no component of X o phi goes unchecked; the two products of each
+    minor are compared up to their first difference.  The report keeps p
+    and the valuations of phi', which `_multiplicity` reads."""
+    vals = [d.valuation() for d in derivs]
+    p = _pivot(vals)
     ledger = min(s.trunc for s in (*images, *derivs))
     order = ledger
     for j in range(3):
@@ -240,7 +243,7 @@ def _residual(images, derivs) -> ResidualReport:
             right = convolve(derivs[j].coeffs, images[p].coeffs, ledger)
             if left != right:
                 order = min(order, next(m for m, c in enumerate(left) if c != right[m]) - 1)
-    return ResidualReport(order=order, ledger=ledger)
+    return ResidualReport(order, ledger, p, vals)
 
 
 def multiplicity(field: VectorField, phi: FormalCurve) -> int:
@@ -258,8 +261,7 @@ def multiplicity(field: VectorField, phi: FormalCurve) -> int:
 def _multiplicity(images, derivs, residual: ResidualReport) -> int:
     if all(im.is_zero() for im in images):
         raise ZeroAlongCurve("field vanishes along the curve at this precision")
-    vals = [d.valuation() for d in derivs]
-    pivot = _pivot(vals)
+    pivot, vals = residual.pivot, residual.vals
     if vals[pivot] == INFINITE:
         raise NotASeparatrix("curve is constant at this precision")
     v = images[pivot].valuation()

@@ -54,12 +54,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    InsufficientSupport,
-    NonzeroConstantTerm,
-    NotAUnit,
-    NotDivisible,
-)
+from .errors import NonzeroConstantTerm, NotAUnit, NotDivisible
 from .scalars import GaussianRational, ZERO, ONE, complex_str, unprintable
 
 INFINITE = math.inf
@@ -678,7 +673,7 @@ def format_mseries(s: MSeries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Curve composition and growth diagnostics
+# Curve composition
 # ---------------------------------------------------------------------------
 
 
@@ -700,48 +695,3 @@ def compose_curve(s: MSeries, phi) -> USeries:
         out[n] = c
     return USeries._clean(out, t)
 
-
-def ratio_divergence_estimate(s: USeries, support_stride: int = 1):
-    """Coefficient-ratio sequence and a least-squares growth exponent.
-
-    Walks the nonzero coefficients c_k on the arithmetic progression of the
-    given stride starting at the valuation, and reports
-
-    * ``ratios``: |c_k| / |c_{k+stride}| for consecutive support points,
-    * ``gevrey_slope``: least-squares slope of log|c_k| against k*log(k).
-
-    The slope is a heuristic growth diagnostic (0 for geometric coefficient
-    growth, positive for factorial-type growth); the exact ratio sequence is
-    the primary output.
-    """
-    if support_stride < 1:
-        raise ValueError("stride must be positive")
-    v = s.valuation()
-    if v is INFINITE or v == INFINITE:
-        raise InsufficientSupport("series is zero at this precision")
-    support = []
-    k = int(v)
-    while k <= s.trunc:
-        if s.coeffs[k]:
-            support.append(k)
-        k += support_stride
-    if len(support) < 4:
-        raise InsufficientSupport(
-            f"need at least 4 nonzero coefficients on stride {support_stride}, "
-            f"found {len(support)}"
-        )
-
-    def mag(c: GaussianRational) -> float:
-        return math.hypot(float(c.re), float(c.im))
-
-    ratios = [
-        mag(s.coeffs[a]) / mag(s.coeffs[b]) for a, b in zip(support, support[1:])
-    ]
-    xs = [k * math.log(k) if k > 1 else 0.0 for k in support]
-    ys = [math.log(mag(s.coeffs[k])) for k in support]
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    denom = sum((x - mx) ** 2 for x in xs)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom if denom else 0.0
-    return {"ratios": ratios, "gevrey_slope": slope, "support": support}

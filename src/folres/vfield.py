@@ -1,5 +1,5 @@
-"""Vector fields on (C^3, 0): linear parts, orders, classification, divisor
-factoring and polynomial conjugation.
+"""Vector fields on (C^3, 0): linear parts, the order at the origin,
+classification, divisor factoring and polynomial conjugation.
 
 A field is stored as three component series sharing one variable set and one
 truncation ledger.  Classification is decided exactly through the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import AllZero, NonInvertibleLinearPart, NotAUnit
 from .scalars import GaussianRational, ONE, ZERO
-from .series import INFINITE, MSeries, VARS, var_index
+from .series import INFINITE, MSeries, VARS
 
 
 class VectorField:
@@ -137,26 +137,6 @@ def order_at_origin(field: VectorField) -> int:
     if v == INFINITE:
         raise AllZero("field is zero at the trusted precision")
     return int(v)
-
-
-def order_wrt_curve(field: VectorField, axis="z") -> int:
-    """Order of the field with respect to the coordinate axis of `axis`.
-
-    Scaling the two transverse variables by s multiplies the transverse
-    components by s^(k-1) and the axis component by s^l, where k and l are
-    their least transverse degrees, sum(m) - m[axis] over the monomials m;
-    the order is min(k, l + 1).
-    """
-    ai = var_index(axis)
-    vals = [
-        min((sum(m) - m[ai] for m in c.terms), default=INFINITE)
-        for c in field.components
-    ]
-    l = vals.pop(ai)
-    k = min(vals)
-    if k == INFINITE and l == INFINITE:
-        raise AllZero("field is zero at the trusted precision")
-    return int(min(k, l + 1))
 
 
 def factor_divisor(field: VectorField, v) -> tuple[int, VectorField]:

@@ -139,18 +139,6 @@ def degenerate_family_series(alpha: Fraction, beta: Fraction, lam: Fraction, deg
     return y, z
 
 
-# -- least squares (normal equations, no reuse of the package helper) ----------
-
-
-def least_squares_slope(xs, ys):
-    n = len(xs)
-    sx = sum(xs)
-    sy = sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
-
-
 # -- transport kernels in plain USeries arithmetic ------------------------------
 
 

@@ -11,10 +11,13 @@ from folres.resolve import (
     INCONCLUSIVE,
     MAX_STEPS_EXHAUSTED,
     NOT_SEMICOMPLETE,
+    NOT_SEMICOMPLETE_BY_HOLONOMY,
     PERSISTENT_NORMAL_FORM_MATCHED,
     REACHED_ELEMENTARY,
+    SEMICOMPLETE_BY_HOLONOMY,
     NoNormalFormMatch,
     PersistentReport,
+    decide_verdict,
     degenerate_family_parameters,
     detect_persistent_normal_form,
     holonomy_sancho_sanz,
@@ -93,6 +96,24 @@ class TestObstruction:
             n=n, lam=gr(1), k=k, separatrix_prefix=FormalCurve.z_axis(4), tangency=5
         )
         assert semicomplete_obstruction(report) == verdict
+        # with no matched parts, the table decides alone
+        assert decide_verdict(report) == (verdict, None)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,verdict",
+        [
+            (0, 1, SEMICOMPLETE_BY_HOLONOMY),
+            (1, 1, NOT_SEMICOMPLETE_BY_HOLONOMY),
+            (Fraction(1, 2), 2, NOT_SEMICOMPLETE_BY_HOLONOMY),
+        ],
+    )
+    def test_degenerate_family_takes_the_holonomy_verdict(self, alpha, beta, verdict):
+        trace = resolve_along(field_degenerate_family(alpha, beta), None, 2, stop_on_match=True)
+        identity = verdict == SEMICOMPLETE_BY_HOLONOMY
+        assert semicomplete_obstruction(trace.report) == INCONCLUSIVE
+        assert decide_verdict(trace.report) == (
+            verdict, (Fraction(alpha), Fraction(beta), identity)
+        )
 
 
 class TestResolveAlong:
@@ -120,6 +141,22 @@ class TestResolveAlong:
         trace = resolve_along(X, solve_graph_separatrix(X, 20), 3)
         assert len(trace.steps) == 4
         assert len({id(f) for f in seen}) == len(seen) == 4
+
+    def test_each_image_reads_its_pivot_once(self, monkeypatch):
+        # the residual finds the pivot of phi', and the multiplicity of the
+        # same image reads it from the residual's report
+        import folres.separatrix as sx
+
+        pivots, residuals = [], []
+        pivot, residual = sx._pivot, sx._residual
+        monkeypatch.setattr(sx, "_pivot", lambda vals: pivots.append(1) or pivot(vals))
+        monkeypatch.setattr(
+            sx, "_residual", lambda *a: residuals.append(1) or residual(*a)
+        )
+        X = field_xlambda(1)
+        trace = resolve_along(X, None, 3)
+        assert all(s.mult is not None for s in trace.steps)
+        assert len(pivots) == len(residuals) == len(trace.steps)
 
     def test_elementary_at_step_zero(self):
         X = vf({(1, 0, 0): 1}, {(0, 1, 0): 2}, {(0, 0, 2): 1})

@@ -1,15 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from folres.errors import (
-    InsufficientSupport,
-    NonzeroConstantTerm,
-    NotDivisible,
-)
+from folres.errors import NonzeroConstantTerm, NotDivisible
 from folres.scalars import ONE, ZERO, GaussianRational
 from folres.series import (
     INFINITE,
@@ -18,11 +13,9 @@ from folres.series import (
     compose_curve,
     convolve,
     format_mseries,
-    ratio_divergence_estimate,
 )
 
 from conftest import gr, rand_mseries, rand_scalar, rand_zero_const_triple, series, useries
-from oracles import least_squares_slope, xlambda_series
 
 
 _gauss = st.builds(
@@ -370,40 +363,6 @@ class TestUSeries:
         assert a.derivative().trunc == 9
 
 
-class TestRatioDivergence:
-    def test_geometric(self):
-        s = useries([1] * 20, 19)
-        rep = ratio_divergence_estimate(s)
-        assert all(abs(r - 1.0) < 1e-12 for r in rep["ratios"])
-        assert abs(rep["gevrey_slope"]) < 1e-9
-
-    def test_xlambda_ratio_sequence(self):
-        # consecutive nonzero support of the divergent graph series: the
-        # recurrence gives ratios 1/((3k+1)(3k+2)), tending to zero
-        _, b = xlambda_series(Fraction(1), 30)
-        s = useries([Fraction(c) for c in b], 30)
-        rep = ratio_divergence_estimate(s, support_stride=3)
-        expect = [1.0 / ((3 * k + 1) * (3 * k + 2)) for k in range(len(rep["ratios"]))]
-        assert rep["ratios"] == pytest.approx(expect, rel=1e-12)
-        assert rep["ratios"][-1] < rep["ratios"][0] / 100
-
-    def test_factorial_slope(self):
-        coeffs = [Fraction(math.factorial(k)) for k in range(25)]
-        s = useries(coeffs, 24)
-        rep = ratio_divergence_estimate(s)
-        xs = [k * math.log(k) if k > 1 else 0.0 for k in rep["support"]]
-        ys = [math.log(math.factorial(k)) if k else 0.0 for k in rep["support"]]
-        assert rep["gevrey_slope"] == pytest.approx(
-            least_squares_slope(xs, ys), abs=1e-10
-        )
-        # discriminates factorial growth from geometric growth
-        assert rep["gevrey_slope"] > 0.5
-
-    def test_insufficient_support(self):
-        with pytest.raises(InsufficientSupport):
-            ratio_divergence_estimate(useries([0, 1, 1, 1], 3))
-
-
 def test_format_round_trip():
     from folres.parsing import parse_series
 
@@ -457,20 +416,6 @@ def test_retrunc_at_its_own_ledger_is_the_series():
     s = MSeries({(1, 0, 0): 1, (0, 2, 1): gr(1, 2)}, 6)
     assert s.retrunc(s.trunc) is s
     assert s.retrunc(2).terms == {(1, 0, 0): gr(1)}
-
-
-def test_ratio_estimate_on_solved_divergent_series():
-    # end-to-end: the solved graph series feeds the growth diagnostics
-    from folres.separatrix import solve_graph_separatrix
-    from conftest import field_xlambda
-
-    curve = solve_graph_separatrix(field_xlambda(1, 30), 24)
-    rep = ratio_divergence_estimate(curve.phi2, support_stride=3)
-    expect = [1.0 / ((3 * k + 1) * (3 * k + 2)) for k in range(len(rep["ratios"]))]
-    assert rep["ratios"] == pytest.approx(expect, rel=1e-12)
-    # factorial-type growth: the slope is clearly positive (geometric gives 0),
-    # biased low at short support by the subleading -k term of log k!
-    assert rep["gevrey_slope"] > 0.3
 
 
 def _assert_clean(s: MSeries):

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from folres.errors import AllZero, NonInvertibleLinearPart
 from folres.series import MSeries
@@ -18,7 +17,6 @@ from folres.vfield import (
     factor_divisor,
     nilpotent_normal_form_full,
     order_at_origin,
-    order_wrt_curve,
 )
 
 from conftest import (
@@ -87,61 +85,6 @@ class TestOrder:
     def test_all_zero(self):
         with pytest.raises(AllZero):
             order_at_origin(vf({}, {}, {}))
-
-
-_components = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * 3), st.builds(gr, st.integers(1, 3)), max_size=4
-)
-
-
-def _transposed(field, axis):
-    """The field with the variables and the components of `axis` and z
-    swapped, so that the axis of `axis` becomes the z-axis."""
-    perm = [0, 1, 2]
-    ai = "xyz".index(axis)
-    perm[ai], perm[2] = 2, ai
-    comps = (field.components[q] for q in perm)
-    return VectorField(*(
-        MSeries({tuple(m[p] for p in perm): c for m, c in s.terms.items()}, s.trunc)
-        for s in comps
-    ))
-
-
-class TestOrderWrtCurve:
-    def test_mixed(self):
-        f = vf({(0, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 0, 2): 1})
-        assert order_wrt_curve(f, "z") == 1  # min(1, 0+1)
-
-    def test_transverse_squares(self):
-        f = vf({(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 1): 1})
-        assert order_wrt_curve(f, "z") == 1  # min(2, 0+1)
-
-    def test_radial_in_transverse_plane(self):
-        f = vf({(1, 0, 0): 1}, {(0, 1, 0): 1}, {})
-        assert order_wrt_curve(f, "z") == 1
-
-    def test_order_two_center(self):
-        # components quadratic in (x, y): order 2 with respect to the axis
-        f = vf({(2, 0, 0): 1, (1, 1, 0): 1}, {(0, 2, 0): 1}, {(1, 0, 1): 1})
-        assert order_wrt_curve(f, "z") == 2  # min(2, 1+1)
-
-    def test_permuted_axis(self):
-        # center {y=z=0}: same field as test_mixed after swapping x and z
-        f = vf({(0, 0, 2): 1}, {(1, 0, 1): 1}, {(0, 1, 0): 1})
-        assert order_wrt_curve(f, "x") == 1
-
-    @pytest.mark.parametrize("axis", "xyz")
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_components, min_size=3, max_size=3))
-    def test_equals_the_z_order_of_the_transposed_field(self, axis, comps):
-        f = vf(*comps, trunc=6)
-        swapped = _transposed(f, axis)
-        if swapped.is_zero():
-            with pytest.raises(AllZero):
-                order_wrt_curve(f, axis)
-        else:
-            assert order_wrt_curve(f, axis) == order_wrt_curve(swapped, "z")
-
 
 
 class TestFactorDivisor:
