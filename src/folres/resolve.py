@@ -64,6 +64,9 @@ INCONCLUSIVE = "inconclusive"
 SEMICOMPLETE_BY_HOLONOMY = "semicomplete_by_holonomy"
 NOT_SEMICOMPLETE_BY_HOLONOMY = "not_semicomplete_by_holonomy"
 
+ARC_TOL = 1e-10  # absolute tolerance of timeform_arc_integral's quadrature
+LOOP_RTOL = 1e-12  # relative tolerance of zflow_uniformity_check's integrator
+
 
 class NoNormalFormMatch(FolresError):
     """Field does not certify as a persistent nilpotent normal form."""
@@ -90,18 +93,20 @@ def detect_persistent_normal_form(
 ) -> PersistentReport:
     """Match the persistent normal form and certify its separatrix.
 
-    With no `curve`, the graph separatrix of the normal-form representative
-    is solved to target = min(degree, trunc - 1).  A carried `curve` (the
-    one the resolution driver transports) is certified, never solved: it
-    must be a graph over z whose image is known through the target and
+    The target is min(degree, trunc - 1), trunc the normal-form
+    representative's ledger: the field's minus k minus n.  With no `curve`,
+    the graph separatrix of factor_divisor(field, "z")[1], not of the
+    normal-form representative, is solved to the target.  A carried `curve`
+    (the one the resolution driver transports) is certified, never solved:
+    it must be a graph over z whose image is known through the target and
     whose invariance residual vanishes through degree target - 1, and it is
     cut to the target.  The residual is read from the image (X o curve,
     curve', residual) of the factor-divisor representative, which the driver
     passes as `_image` with the factoring factor_divisor(field, "z") as
     `_factored`; otherwise the function factors the field and composes the
     image itself.  The normal-form representative differs from the
-    factor-divisor one by a unit, which changes neither the residual's
-    order nor its ledger.  Either prefix must have tangency at least 2.
+    factor-divisor one by a unit, which changes neither the residual's order
+    nor its ledger.  Either prefix must have tangency at least 2.
 
     Raises NoNormalFormMatch naming the first violated condition.
     """
@@ -109,11 +114,10 @@ def detect_persistent_normal_form(
     parts, reason = nilpotent_normal_form_full(field, _factored=factored)
     if parts is None:
         raise NoNormalFormMatch(reason or "not in normal form")
-    rep = parts.representative
-    target = min(degree, max(rep.trunc - 1, 1))
+    target = min(degree, max(parts.representative.trunc - 1, 1))
     if curve is None:
         try:
-            prefix = solve_graph_separatrix(rep, target)
+            prefix = solve_graph_separatrix(factored[1], target)
         except FolresError as exc:
             raise NoNormalFormMatch(f"no graph separatrix: {exc}") from exc
     else:
@@ -381,12 +385,12 @@ def holonomy_sancho_sanz(alpha, beta) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> complex:
+def timeform_arc_integral(rho, x0: complex, turns) -> complex:
     """Integral of dx / rho(x) along the arc x0 * e^{2 pi i * turns * t}.
 
     `rho` is either an integer m (the monomial x^m) or a USeries evaluated
     as its trusted polynomial.  Adaptive quadrature in extended precision to
-    the requested absolute tolerance.
+    the absolute tolerance ARC_TOL.
     """
     import mpmath as mp
 
@@ -429,9 +433,9 @@ def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> comple
             return w * x / denom(x)
 
         value, err = mp.quad(integrand, mp.linspace(0, 1, 9), error=True)
-        if err > mp.mpf(tol) / 10:
+        if err > mp.mpf(ARC_TOL) / 10:
             raise IntegrationFailure(
-                f"quadrature error estimate {float(err):.3g} above tolerance {tol}"
+                f"quadrature error estimate {float(err):.3g} above tolerance {ARC_TOL}"
             )
         return complex(value)
 
@@ -441,12 +445,12 @@ def timeform_arc_integral(rho, x0: complex, turns, tol: float = 1e-10) -> comple
 # ---------------------------------------------------------------------------
 
 
-def zflow_uniformity_check(alpha, beta, x0: complex, y0z0, rtol: float = 1e-12) -> float:
+def zflow_uniformity_check(alpha, beta, x0: complex, y0z0) -> float:
     """Endpoint-minus-start gap of (y, z) transported around the x-loop.
 
     Integrates dy/dx = z/x - alpha y/x, dz/dx = y/x^2 - beta z/x along
-    x0 e^{2 pi i t}, t in [0, 1], with a high-order adaptive integrator, and
-    returns |y(1)-y0| + |z(1)-z0|.
+    x0 e^{2 pi i t}, t in [0, 1], with a high-order adaptive integrator at
+    relative tolerance LOOP_RTOL, and returns |y(1)-y0| + |z(1)-z0|.
     """
     import numpy as np
     from scipy.integrate import solve_ivp
@@ -468,7 +472,7 @@ def zflow_uniformity_check(alpha, beta, x0: complex, y0z0, rtol: float = 1e-12) 
         (0.0, 1.0),
         np.array([y0, z0], dtype=complex),
         method="DOP853",
-        rtol=rtol,
+        rtol=LOOP_RTOL,
         atol=1e-14,
         dense_output=False,
     )

@@ -128,9 +128,6 @@ class FormalCurve:
     def constants(self):
         return tuple(c.coeffs[0] for c in self.components)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -342,15 +339,13 @@ class _Composer:
         self.memo = {}  # tag -> (row, nz, lag, [(i, j, row of a^i b^j, [(k, c or None)])])
 
     def _row(self, i: int, j: int, s: int):
-        """The row of a^i b^j, entries 0..s computed.
+        """Fill the row of a^i b^j, shorter than s + 1, through entry s.
 
         The chain a, a^2, ..., a^i, a^i b, ..., a^i b^j is filled in one
         loop, each row the previous one times a or b, as a recursion would
         overflow the stack on a chain of a thousand rows (x^990).
         """
         rows = self.rows
-        if len(rows[i][j][0]) > s:
-            return rows[i][j][0]
         a, b = rows[1][0], rows[0][1]
         prev = rows[0][0]
         chain = [r[0] for r in rows[1 : i + 1]] + rows[i][1 : j + 1]
@@ -368,7 +363,6 @@ class _Composer:
                     if c is not ZERO:
                         nz.append(t)
             prev = pair
-        return prev[0]
 
     def _group(self, series: MSeries, tag):
         """Group the terms of series by (i, j), open the row of `tag` and
@@ -573,26 +567,17 @@ def _solve_two_by_two(row_a, row_b, degree: int):
     det = a1 * b2 - a2 * b1
     if det:
         return ((b1 * r2 - b2 * r1) / det, (a2 * r1 - a1 * r2) / det)
-    # singular system: eliminate greedily, remaining free unknowns set to zero
-    A = None
-    B = None
-    for r, ca, cb in ((r1, a1, b1), (r2, a2, b2)):
-        rhs = -r
-        if A is not None:
-            rhs = rhs - ca * A
-            ca = ZERO
-        if B is not None:
-            rhs = rhs - cb * B
-            cb = ZERO
-        if ca:
-            A = rhs / ca
-            if cb and B is None:
-                B = ZERO  # one equation controls both: free unknown to zero
-        elif cb:
-            B = rhs / cb
-        elif rhs:
-            raise Obstructed(degree, "inconsistent singular coefficient system")
-    return (A if A is not None else ZERO, B if B is not None else ZERO)
+    # singular: the rows are proportional, so the first row with a nonzero
+    # column fixes A, or B when its A-column is zero, the other unknown is
+    # zero, and both rows must hold
+    r, ca, cb = (r1, a1, b1) if a1 or b1 else (r2, a2, b2)
+    if ca:
+        A, B = -r / ca, ZERO
+    else:
+        A, B = ZERO, -r / cb if cb else ZERO
+    if r1 + a1 * A + b1 * B or r2 + a2 * A + b2 * B:
+        raise Obstructed(degree, "inconsistent singular coefficient system")
+    return A, B
 
 
 # ---------------------------------------------------------------------------

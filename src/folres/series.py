@@ -43,7 +43,8 @@ weight-2 lift of ``transform_curve``, the solver's curve and the identity
 series of ``FormalCurve.graph``.
 
 On ``{(i, j, k): coefficient}`` term dicts, ``mul_terms`` is the one sparse
-product and ``substitute_terms`` the one substitution, behind
+product, under ``pow_terms`` (repeated squaring) and ``MSeries.invert_unit``
+(Newton's iteration), and ``substitute_terms`` the one substitution, behind
 ``MSeries.substitute``, ``MSeries.shift_origin``, the driver's coordinate
 move ``separatrix.straighten`` and ``compose_curve``, which reads each curve
 component as a series in x alone.
@@ -138,11 +139,8 @@ def mul_terms(a: dict, b: dict, t: int) -> dict:
 
 
 def pow_terms(a: dict, n: int, t: int) -> dict:
-    """a^n truncated at total degree t: an exponent shift for a monomial with
-    coefficient 1, as in ``x^5``, and repeated squaring with ``mul_terms``."""
-    if len(a) == 1 and ONE in a.values():
-        ((i, j, k), _), = a.items()
-        return {(i * n, j * n, k * n): ONE} if (i + j + k) * n <= t else {}
+    """a^n truncated at total degree t, by repeated squaring with
+    ``mul_terms``, which makes each product by a monomial a shift."""
     result = {(0, 0, 0): ONE}
     while n:
         if n & 1:
@@ -496,38 +494,20 @@ class MSeries:
         return min(m[vi] for m in self.terms)
 
     def invert_unit(self) -> "MSeries":
+        """1 / self by Newton's iteration y <- y + y (1 - self y) on
+        ``mul_terms`` (Brent-Kung 1978): from y = 1 / c0, exact through
+        degree d, each step is exact through min(2 d + 1, trunc)."""
         c0 = self.constant_term()
         if not c0:
             raise NotAUnit("constant term vanishes")
-        inv0 = ONE / c0
-        # Newton-free graded recursion: group own terms by total degree.
-        by_degree: dict[int, list] = {}
-        for m, c in self.terms.items():
-            d = sum(m)
-            if d:
-                by_degree.setdefault(d, []).append((m, c))
-        out = {(0, 0, 0): inv0}
-        out_by_degree: dict[int, list] = {0: [((0, 0, 0), inv0)]}
-        for d in range(1, self.trunc + 1):
-            acc: dict[tuple, GaussianRational] = {}
-            for d1, terms1 in by_degree.items():
-                if d1 > d:
-                    continue
-                lower = out_by_degree.get(d - d1)
-                if not lower:
-                    continue
-                for (i1, j1, k1), a in terms1:
-                    for (i2, j2, k2), b in lower:
-                        m = (i1 + i2, j1 + j2, k1 + k2)
-                        acc[m] = acc.get(m, ZERO) + a * b
-            level = []
-            for m, c in acc.items():
-                val = -inv0 * c
-                if val:
-                    out[m] = val
-                    level.append((m, val))
-            out_by_degree[d] = level
-        return MSeries._clean(out, self.trunc)
+        y, d = {(0, 0, 0): ONE / c0}, 0
+        while d < self.trunc:
+            d = min(2 * d + 1, self.trunc)
+            # self y = 1 + (terms above the old d), so y's own terms stay
+            error = mul_terms(self.terms, y, d)
+            del error[(0, 0, 0)]
+            y.update((m, -c) for m, c in mul_terms(y, error, d).items())
+        return MSeries._clean(y, self.trunc)
 
     # -- substitution -----------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AllZero, NonInvertibleLinearPart, NotAUnit
+from .errors import AllZero, NonInvertibleLinearPart
 from .scalars import GaussianRational, ONE, ZERO
 from .series import INFINITE, MSeries, VARS
 
@@ -209,31 +209,19 @@ def _adjugate3(m):
 
 
 def conjugate(field: VectorField, cmap: PolyMap) -> VectorField:
-    """Pull back the field: (DH)^{-1} (X o H) for the coordinate change H."""
+    """Pull back the field by the coordinate change H: (DH)^{-1} (X o H), as
+    adj(J) (X o H) det(J)^{-1} with J = DH.  For a linear H, J is the
+    constant matrix at the ledger of X o H, so the pullback costs no ledger."""
     lin = cmap.linear_matrix()
-    det_lin = _det3(lin)
-    if not det_lin:
+    if not _det3(lin):
         raise NonInvertibleLinearPart("linear part of the coordinate change is singular")
     composed = [c.substitute(cmap.comps) for c in field.components]
     if all(c.max_degree() <= 1 for c in cmap.comps):
-        # linear change: constant Jacobian, no ledger cost
-        inv_det = ONE / det_lin
-        inv = [[e * inv_det for e in row] for row in _adjugate3(lin)]
         t = min(c.trunc for c in composed)
-        out = []
-        for r in range(3):
-            acc = MSeries.zero(t)
-            for c in range(3):
-                if inv[r][c]:
-                    acc = acc + composed[c].retrunc(t).scale(inv[r][c])
-            out.append(acc)
-        return VectorField(*out)
-    jac = cmap.jacobian()
-    det = _det3(jac)
-    try:
-        det_inv = det.invert_unit()
-    except NotAUnit as exc:  # pragma: no cover - excluded by the linear check
-        raise NonInvertibleLinearPart(str(exc)) from exc
+        jac = tuple(tuple(MSeries.constant(e, t) for e in row) for row in lin)
+    else:
+        jac = cmap.jacobian()
+    det_inv = _det3(jac).invert_unit()
     adj = _adjugate3(jac)
     out = []
     for r in range(3):
@@ -283,10 +271,7 @@ def nilpotent_normal_form_full(field: VectorField, *, _factored=None):
         # the unit is 1, as for every z^n d/dz: dividing by it is a cut
         comps = [c.retrunc(unit.trunc) for c in rep.components]
     else:
-        try:
-            unit_inv = unit.invert_unit()
-        except NotAUnit:
-            return None, "third component is not z^n times a unit"
+        unit_inv = unit.invert_unit()
         comps = [c.retrunc(unit_inv.trunc) * unit_inv for c in rep.components]
     # every component has ledger t; f = (comps[0] - y) / z, so the y
     # coefficient of comps[0] must be 1 once t >= 1, and g = comps[1] / z

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from folres.blowup import point_blowup, point_chart
 from folres.errors import NotGraph, PrecisionExhausted
+from folres.parsing import parse_field
 from folres.resolve import (
     INCONCLUSIVE,
     MAX_STEPS_EXHAUSTED,
@@ -75,6 +76,17 @@ class TestDetect:
         X = vf({(0, 1, 1): 1}, {(1, 0, 2): 1}, {(0, 0, 3): 1})
         report = detect_persistent_normal_form(X)
         assert (report.k, report.n) == (1, 2)
+
+    def test_solves_the_factored_field_below_trunc_2n(self):
+        # the normal-form representative has ledger trunc - n = 2, below its
+        # own z^3; the factored field keeps it, and the match is resolve's
+        X = parse_field("[y, x*z, z^3]", 5)
+        report = detect_persistent_normal_form(X)
+        assert (report.n, report.lam, report.k) == (3, gr(1), 0)
+        assert report.separatrix_prefix.ledger == 1
+        trace = resolve_along(X, None, 0)
+        assert trace.outcome == PERSISTENT_NORMAL_FORM_MATCHED
+        assert trace.report == report
 
     def test_untangent_separatrix_rejected_then_matched_after_blowups(self):
         X = field_xlambda(1)
@@ -371,6 +383,22 @@ class TestDegenerateFamilyRecognition:
         parts, _ = nilpotent_normal_form_full(X0)
         assert parts is not None and degenerate_family_parameters(parts) is None
         assert degenerate_family_parameters(None) is None
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "[y - x*z, x*z, z^2 + z^3]",  # the unit is 1 + z
+            "[y, 2*x*z, z^2]",  # lambda is 2
+            "[y + z^2, x*z, z^2]",  # f has a z term
+            "[y - i*x*z, x*z, z^2]",  # beta is i
+        ],
+    )
+    def test_n2_k0_parts_outside_the_family(self, src):
+        X = parse_field(src, 24)
+        parts, _ = nilpotent_normal_form_full(X)
+        assert (parts.n, parts.k) == (2, 0)
+        assert degenerate_family_parameters(parts) is None
+        assert decide_verdict(detect_persistent_normal_form(X)) == (INCONCLUSIVE, None)
 
     def test_report_keeps_the_matched_parts(self):
         # the holonomy branch reads the final step's match, not a second one

@@ -923,3 +923,16 @@ class TestTwoByTwoFallback:
         row_b = (4, GR(-10), GR(2), GR(2))
         A, B = _solve_two_by_two(row_a, row_b, 3)
         assert A == GR(5) and B == GR(0)
+
+    def test_singular_with_a_zero_a_column_fixes_b(self):
+        from folres.errors import Obstructed
+        from folres.separatrix import _solve_two_by_two
+        from folres.scalars import GaussianRational as GR
+
+        # both rows control only B: 2 B = 4 and 3 B = 6 agree, A defaults to 0
+        row_a = (3, GR(-4), GR(0), GR(2))
+        A, B = _solve_two_by_two(row_a, (4, GR(-6), GR(0), GR(3)), 3)
+        assert A == GR(0) and B == GR(2)
+        # 3 B = 5 disagrees with B = 2
+        with pytest.raises(Obstructed):
+            _solve_two_by_two(row_a, (4, GR(-5), GR(0), GR(3)), 3)

@@ -251,6 +251,18 @@ class TestInvertUnit:
             inv = s.invert_unit()
             assert (s * inv).eq_trusted(MSeries.constant(1, 10))
 
+    @pytest.mark.parametrize("trunc", [0, 1, 2])
+    @pytest.mark.parametrize("c", [gr(1), gr(1, 1)])
+    def test_low_ledgers_and_a_complex_constant(self, trunc, c):
+        # 1 / (c + w), w = x + yz: 1/c - w/c^2 + w^2/c^3 - ..., through degree 2
+        u = MSeries({(0, 0, 0): c, (1, 0, 0): 1, (0, 1, 1): 1}, trunc)
+        inv = u.invert_unit()
+        r = gr(1) / c
+        expected = {(0, 0, 0): r, (1, 0, 0): -(r * r), (0, 1, 1): -(r * r), (2, 0, 0): r * r * r}
+        assert inv.trunc == trunc
+        assert inv.eq_trusted(MSeries({m: v for m, v in expected.items() if sum(m) <= trunc}, trunc))
+        assert (u * inv).eq_trusted(MSeries.constant(1, trunc))
+
 
 class TestShiftOrigin:
     def test_polynomial_translation(self):
